@@ -6,9 +6,9 @@
 //  * the thread-determinism contract (byte-identical fingerprints);
 //  * the delay-ordering contract: RTMP < LL-HLS < HLS end-to-end, the
 //    whole point of the third tier;
-//  * the legacy-parity contract: delay_breakdown_experiment(4, 42)
-//    still hashes to the pre-refactor pin, i.e. moving the tiers
-//    behind cdn::DeliveryBackend changed NOTHING for legacy configs.
+//  * the legacy-parity contract: the two-lane
+//    delay_breakdown_experiment(4, 42) still hashes to its pin
+//    (analysis::kLegacyBreakdownFingerprint).
 //
 // Part 2 sweeps the Figure-14 server-cost curves through the backend
 // cost hooks and certifies that LL-HLS sits strictly between the two
@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
               delay_ok ? "yes" : "NO -- BUG");
 
   // Legacy parity: the two-lane experiment behind the pluggable
-  // interface must still hash to the pre-refactor pin.
+  // interface must still hash to its pin.
   const auto legacy = analysis::delay_breakdown_experiment(4, 42);
   const auto legacy_fp = analysis::legacy_breakdown_fingerprint(legacy);
   const bool parity_ok = legacy_fp == analysis::kLegacyBreakdownFingerprint;

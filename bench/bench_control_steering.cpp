@@ -33,7 +33,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -42,34 +41,18 @@
 #include "livesim/core/broadcast_session.h"
 #include "livesim/fault/scenario.h"
 #include "livesim/stats/report.h"
+#include "livesim/util/fingerprint.h"
 
 namespace {
 using namespace livesim;
-
-struct FnvMixer {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void mix(std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  }
-  void mix_double(double x) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(x), "double is 64-bit");
-    std::memcpy(&bits, &x, sizeof(bits));
-    mix(bits);
-  }
-  void mix_samples(const stats::Sampler& s) {
-    for (double x : s.samples()) mix_double(x);
-  }
-};
 
 // Every sample (bit pattern, insertion order) plus the spill ledgers —
 // identical mixing to bench_resilience_capacity_spill, so equal
 // fingerprints <=> bit-parity of the underlying data.
 std::uint64_t fingerprint_spill(const analysis::CapacitySpillStats& r) {
-  FnvMixer m;
-  m.mix_samples(r.stall_ratio);
-  m.mix_samples(r.failover_latency_s);
+  util::Fingerprint m;
+  m.mix_doubles(r.stall_ratio.samples());
+  m.mix_doubles(r.failover_latency_s.samples());
   m.mix(r.counters.viewers);
   m.mix(r.counters.affected);
   m.mix(r.counters.failovers);
@@ -83,20 +66,20 @@ std::uint64_t fingerprint_spill(const analysis::CapacitySpillStats& r) {
     m.mix(site);
     m.mix(peak);
   }
-  return m.h;
+  return m.value();
 }
 
 // The steering experiment's full surface: the spill outcome plus both
 // detection-time distributions and the steering ledger.
 std::uint64_t fingerprint_steering(const analysis::ControlSteeringStats& r) {
-  FnvMixer m;
+  util::Fingerprint m;
   m.mix(fingerprint_spill(r.spill));
-  m.mix_samples(r.reactive_detect_s);
-  m.mix_samples(r.proactive_detect_s);
+  m.mix_doubles(r.reactive_detect_s.samples());
+  m.mix_doubles(r.proactive_detect_s.samples());
   m.mix(static_cast<std::uint64_t>(r.steer_published_at));
   m.mix(r.steered_early);
   m.mix(r.proactive ? 1 : 0);
-  return m.h;
+  return m.value();
 }
 
 analysis::ControlSteeringConfig config_for(double radius_km,
@@ -202,10 +185,10 @@ int main(int argc, char** argv) {
       const std::uint64_t fp_off = fingerprint_spill(steer.spill);
       // Disabled: both detection samplers must collapse to the same
       // (reactive) distribution and nothing may be steered.
-      FnvMixer ra, pa;
-      ra.mix_samples(steer.reactive_detect_s);
-      pa.mix_samples(steer.proactive_detect_s);
-      const bool ok = fp_spill == fp_off && ra.h == pa.h &&
+      util::Fingerprint ra, pa;
+      ra.mix_doubles(steer.reactive_detect_s.samples());
+      pa.mix_doubles(steer.proactive_detect_s.samples());
+      const bool ok = fp_spill == fp_off && ra.value() == pa.value() &&
                       steer.steered_early == 0 && !steer.proactive;
       off_all_ok = off_all_ok && ok;
       off_fp = fp_off;

@@ -116,7 +116,6 @@ analysis::FlashCrowdConfig giant_config(std::uint32_t viewers,
 
   cfg.threads = threads;
   cfg.sub_shards = sub_shards;
-  cfg.viewer_substreams = true;
   return cfg;
 }
 

@@ -20,6 +20,7 @@
 #include "livesim/media/encoder.h"
 #include "livesim/sim/simulator.h"
 #include "livesim/stats/report.h"
+#include "livesim/util/fingerprint.h"
 
 namespace {
 using namespace livesim;
@@ -30,19 +31,14 @@ using namespace livesim;
 // or single-tick change shows up. Used to certify that the sharded runs
 // produced bit-identical traces.
 std::uint64_t fingerprint(const std::vector<analysis::BroadcastTrace>& traces) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
+  util::Fingerprint h;
   for (const auto& t : traces) {
-    for (const TimeUs a : t.frame_arrivals) mix(static_cast<std::uint64_t>(a));
-    for (const auto& c : t.chunks) {
-      mix(static_cast<std::uint64_t>(c.completed_at_ingest));
-      mix(c.bytes);
-    }
+    for (const TimeUs a : t.frame_arrivals)
+      h.mix(static_cast<std::uint64_t>(a));
+    for (const auto& c : t.chunks)
+      h.mix(static_cast<std::uint64_t>(c.completed_at_ingest)).mix(c.bytes);
   }
-  return h;
+  return h.value();
 }
 
 double measured_rtmp_cpu(std::uint32_t viewers) {

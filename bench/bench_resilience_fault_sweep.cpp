@@ -19,11 +19,11 @@
 // Usage: bench_resilience_fault_sweep [broadcasts]   (default 800)
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "livesim/analysis/resilience.h"
 #include "livesim/core/broadcast_session.h"
 #include "livesim/stats/report.h"
+#include "livesim/util/fingerprint.h"
 
 namespace {
 using namespace livesim;
@@ -33,29 +33,17 @@ using namespace livesim;
 // mixed in, so any reordering or single-ULP drift across thread counts
 // shows up.
 std::uint64_t fingerprint(const analysis::ResilienceStats& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  auto mix_samples = [&](const stats::Sampler& s) {
-    for (double x : s.samples()) {
-      std::uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(x), "double is 64-bit");
-      std::memcpy(&bits, &x, sizeof(bits));
-      mix(bits);
-    }
-  };
-  mix_samples(r.stall_ratio);
-  mix_samples(r.rebuffer_count);
-  mix_samples(r.failover_latency_s);
-  mix(r.counters.viewers);
-  mix(r.counters.faults_injected);
-  mix(r.counters.ingest_crashes);
-  mix(r.counters.failovers);
-  mix(r.counters.unrecoverable);
-  mix(r.counters.chunk_refetches);
-  return h;
+  return util::Fingerprint()
+      .mix_doubles(r.stall_ratio.samples())
+      .mix_doubles(r.rebuffer_count.samples())
+      .mix_doubles(r.failover_latency_s.samples())
+      .mix(r.counters.viewers)
+      .mix(r.counters.faults_injected)
+      .mix(r.counters.ingest_crashes)
+      .mix(r.counters.failovers)
+      .mix(r.counters.unrecoverable)
+      .mix(r.counters.chunk_refetches)
+      .value();
 }
 
 analysis::ResilienceConfig config_for_rate(double faults_per_minute) {
@@ -170,7 +158,7 @@ int main(int argc, char** argv) {
                 session.failover_latency_s().mean());
   std::size_t migrated_playing = 0;
   for (const auto& v : session.viewer_results())
-    if (v.hls) ++migrated_playing;
+    if (v.tier != cdn::DeliveryTier::kRtmp) ++migrated_playing;
   std::printf("viewers on HLS at the end: %zu (started with %u)\n",
               migrated_playing, scfg.hls_viewers);
   if (session.rtmp_failovers() != scfg.rtmp_viewers) {

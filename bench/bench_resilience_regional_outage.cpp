@@ -22,12 +22,12 @@
 // Usage: bench_resilience_regional_outage [broadcasts]   (default 600)
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "livesim/analysis/resilience.h"
 #include "livesim/core/service.h"
 #include "livesim/fault/scenario.h"
 #include "livesim/stats/report.h"
+#include "livesim/util/fingerprint.h"
 
 namespace {
 using namespace livesim;
@@ -36,27 +36,15 @@ using namespace livesim;
 // insertion order) and every counter is mixed in, so any reordering or
 // single-ULP drift across thread counts shows up.
 std::uint64_t fingerprint(const analysis::RegionalOutageStats& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  auto mix_samples = [&](const stats::Sampler& s) {
-    for (double x : s.samples()) {
-      std::uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(x), "double is 64-bit");
-      std::memcpy(&bits, &x, sizeof(bits));
-      mix(bits);
-    }
-  };
-  mix_samples(r.stall_ratio);
-  mix_samples(r.failover_latency_s);
-  mix(r.counters.viewers);
-  mix(r.counters.affected);
-  mix(r.counters.failovers);
-  mix(r.counters.orphaned);
-  mix(static_cast<std::uint64_t>(r.dark_edges));
-  return h;
+  return util::Fingerprint()
+      .mix_doubles(r.stall_ratio.samples())
+      .mix_doubles(r.failover_latency_s.samples())
+      .mix(r.counters.viewers)
+      .mix(r.counters.affected)
+      .mix(r.counters.failovers)
+      .mix(r.counters.orphaned)
+      .mix(static_cast<std::uint64_t>(r.dark_edges))
+      .value();
 }
 
 analysis::RegionalOutageConfig config_for_radius(double radius_km) {

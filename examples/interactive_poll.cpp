@@ -47,11 +47,12 @@ int main() {
   stats::Accumulator heart_lag;
 
   for (const auto& v : session.viewer_results()) {
-    const double lag = v.hls ? hls_lag : rtmp_lag;
+    const bool on_hls = v.tier != cdn::DeliveryTier::kRtmp;
+    const double lag = on_hls ? hls_lag : rtmp_lag;
     const double vote_arrives = kAsk + lag + kThinking + kMsgDelay;
     const bool counted = vote_arrives <= kAsk + kWindow;
     (counted ? votes_in : votes_late) += 1;
-    if (counted) (v.hls ? hls_in : rtmp_in) += 1;
+    if (counted) (on_hls ? hls_in : rtmp_in) += 1;
     commenters.admit_commenter();
     // A heart sent in reaction to the question lands lag+msg later; the
     // broadcaster is by then lag seconds further into the stream.

@@ -58,7 +58,8 @@ int main() {
     static int shown = 0;
     if (shown++ >= 6) break;
     std::printf("  %s viewer @(%.0f,%.0f): stall %.1f%%, buffer wait %.2fs\n",
-                v.hls ? "HLS " : "RTMP", v.location.lat_deg,
+                v.tier == cdn::DeliveryTier::kRtmp ? "RTMP" : "HLS ",
+                v.location.lat_deg,
                 v.location.lon_deg, v.stall_ratio * 100,
                 v.mean_buffering_s);
   }

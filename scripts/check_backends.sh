@@ -5,10 +5,9 @@
 #   * thread-count determinism: the three-lane breakdown experiment
 #     fingerprints byte-identically at threads 1/2/8 ("identical: yes"),
 #   * the delay-ordering contract: RTMP < LL-HLS < HLS end to end,
-#   * the legacy-parity contract: delay_breakdown_experiment(4, 42)
-#     still hashes to the pre-refactor pin ("legacy parity: yes") --
-#     the pluggable DeliveryBackend interface changed NOTHING for
-#     legacy two-tier configs,
+#   * the legacy-parity contract: the two-lane
+#     delay_breakdown_experiment(4, 42) still hashes to its pin
+#     ("legacy parity: yes") -- two-tier behaviour did not drift,
 #   * the Figure-14 cost contract: LL-HLS server cost strictly between
 #     HLS and RTMP once viewers amortise the part pipeline, the
 #     part-slicing fixed cost visible at zero viewers, and RTMP
@@ -53,7 +52,7 @@ grep -q "backend_crossover delay ordering rtmp < llhls < hls: yes" "$OUT" \
   || fail "LL-HLS end-to-end delay is not between RTMP and HLS"
 
 grep -q "backend_crossover legacy fingerprint=.* legacy parity: yes" "$OUT" \
-  || fail "legacy delay-breakdown fingerprint drifted from the pre-refactor pin"
+  || fail "legacy delay-breakdown fingerprint drifted from its pin"
 
 grep -q \
   "backend_crossover llhls between hls and rtmp (viewers >= 2): yes" "$OUT" \
@@ -73,4 +72,4 @@ rm -f "$OUT"
 
 [ -s BENCH_backends.json ] || fail "BENCH_backends.json was not written"
 
-echo "backends check passed: legacy configs bit-identical through the pluggable interface, LL-HLS delay and server cost both strictly between RTMP and HLS, three-lane experiment thread-deterministic."
+echo "backends check passed: two-tier configs match their pin, LL-HLS delay and server cost both strictly between RTMP and HLS, three-lane experiment thread-deterministic."

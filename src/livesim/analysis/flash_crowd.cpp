@@ -1,7 +1,6 @@
 #include "livesim/analysis/flash_crowd.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <map>
 #include <numeric>
@@ -11,6 +10,7 @@
 #include "livesim/fault/scenario.h"
 #include "livesim/sim/parallel.h"
 #include "livesim/sim/simulator.h"
+#include "livesim/util/fingerprint.h"
 #include "livesim/util/rng.h"
 
 namespace livesim::analysis {
@@ -46,8 +46,6 @@ struct ChannelOutcome {
 /// rebuilds samplers and the partition-invariant fingerprint from.
 struct UnitOutcome {
   ChannelOutcome agg;
-  /// The session's own re-attachment ledger (legacy-merge source).
-  stats::Accumulator reattach_latency_s;
   /// Per slice record: admitted (1) or late (0), in record order.
   std::vector<std::uint8_t> admitted;
   /// Per slice record: its re-attachment sample count...
@@ -70,7 +68,6 @@ UnitOutcome run_unit(const geo::DatacenterCatalog& catalog,
                      const FlashCrowdConfig& config,
                      const CrowdShardUnit& unit,
                      std::span<const workload::CrowdRecord> slice,
-                     bool viewer_substreams,
                      const fault::FaultScenario& scenario,
                      TimeUs blackout_at) {
   sim::Simulator sim;
@@ -79,7 +76,7 @@ UnitOutcome run_unit(const geo::DatacenterCatalog& catalog,
   // seed, same broadcaster draw, same crowd-drive seed for every
   // sub-shard of the channel. Only the record slice (and its global
   // index offset) differs, so every record draws the location and
-  // viewer-seed substreams it would draw in the full run.
+  // viewer streams it would draw in the full run.
   core::LivestreamService::Config scfg;
   scfg.rtmp_slot_cap = config.rtmp_slot_cap;
   scfg.session_defaults = config.session;
@@ -100,7 +97,6 @@ UnitOutcome run_unit(const geo::DatacenterCatalog& catalog,
   dcfg.seed = sim::substream_seed(config.crowd_seed ^ 0xbf58476d1ce4e5b9ULL,
                                   unit.channel);
   dcfg.record_index_offset = unit.begin;
-  dcfg.viewer_substreams = viewer_substreams;
   const BroadcastId channels[] = {broadcast};
   const std::size_t drive = service.drive_crowd(channels, slice, dcfg);
 
@@ -125,7 +121,6 @@ UnitOutcome run_unit(const geo::DatacenterCatalog& catalog,
   out.agg.control_drains = service.control_drains();
   out.agg.peak_loads = session->edge_peak_loads();
   out.agg.events_processed = sim.events_processed();
-  out.reattach_latency_s = session->reattach_latency_s();
 
   // Per-record crowd core, in record order.
   const auto handles = service.crowd_handles(drive);
@@ -190,10 +185,6 @@ FlashCrowdStats flash_crowd_experiment(const geo::DatacenterCatalog& catalog,
       workload::generate_crowd(config.preset, config.crowd_seed,
                                config.threads);
 
-  // Sub-sharding is meaningless when viewers draw from a shared session
-  // stream, so sub_shards > 1 forces the personal substreams on.
-  const bool substreams = config.viewer_substreams || config.sub_shards > 1;
-
   // Partition per channel, global record order preserved inside each
   // channel (generate_crowd's output is index-ordered at every thread
   // count, so this split never depends on scheduling). Each unit sees
@@ -245,8 +236,8 @@ FlashCrowdStats flash_crowd_experiment(const geo::DatacenterCatalog& catalog,
             std::span<const workload::CrowdRecord>(per_channel[unit.channel])
                 .subspan(unit.begin, unit.end - unit.begin);
         const auto t0 = std::chrono::steady_clock::now();
-        outcomes[u] = run_unit(catalog, config, unit, slice, substreams,
-                               scenario, blackout_at);
+        outcomes[u] =
+            run_unit(catalog, config, unit, slice, scenario, blackout_at);
         unit_wall_ns[u] = static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - t0)
@@ -270,22 +261,9 @@ FlashCrowdStats flash_crowd_experiment(const geo::DatacenterCatalog& catalog,
   }
 
   // ---- Merge + fingerprints, in (channel, sub-shard) unit order. ----
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  const auto mix_double = [&](double d) { mix(std::bit_cast<std::uint64_t>(d)); };
-
+  util::Fingerprint h;
   // The partition-invariant crowd core gets its own hash chain.
-  std::uint64_t ch = 0xcbf29ce484222325ULL;
-  const auto cmix = [&ch](std::uint64_t v) {
-    ch ^= v;
-    ch *= 0x100000001b3ULL;
-  };
-  const auto cmix_double = [&](double d) {
-    cmix(std::bit_cast<std::uint64_t>(d));
-  };
+  util::Fingerprint ch;
 
   // Analytic admission latency: the drive's batch fires at quantize(join)
   // (BatchTimeline ceils to the window grid; drives are scheduled at
@@ -307,12 +285,6 @@ FlashCrowdStats flash_crowd_experiment(const geo::DatacenterCatalog& catalog,
     stats.late_joins += o.drive.late_joins;
     stats.leaves += o.drive.leaves;
     stats.batches += o.drive.batches;
-    if (!substreams) {
-      // Legacy merge: fold the per-unit accumulators in unit order —
-      // bit for bit the PR 8 result at sub_shards == 1.
-      stats.admission_latency_s.merge(o.drive.admission_latency_s);
-      stats.reattach_latency_s.merge(outcomes[u].reattach_latency_s);
-    }
     stats.steered_joins += o.steered_joins;
     stats.edge_failovers += o.edge_failovers;
     stats.edge_failover_latency_s.merge(o.edge_failover_latency_s);
@@ -325,58 +297,57 @@ FlashCrowdStats flash_crowd_experiment(const geo::DatacenterCatalog& catalog,
     stats.events_processed += o.events_processed;
     for (const auto& [site, peak] : o.peak_loads) peaks[site] += peak;
 
-    mix(o.drive.joins);
-    mix(o.drive.late_joins);
-    mix(o.drive.leaves);
-    mix(o.drive.batches);
-    mix(o.drive.admission_latency_s.count());
-    mix_double(o.drive.admission_latency_s.mean());
-    mix_double(o.drive.admission_latency_s.max());
-    mix(o.steered_joins);
-    mix(o.edge_failovers);
-    mix(o.edge_failover_latency_s.count());
-    mix_double(o.edge_failover_latency_s.mean());
-    mix(o.proactive_migrations);
-    mix(o.orphaned_viewers);
-    mix(o.edge_spills);
-    mix(o.overlay_assists);
-    mix(o.control_drains);
-    mix(o.events_processed);
-    for (const auto& [site, peak] : o.peak_loads) {
-      mix(site);
-      mix(peak);
-    }
+    h.mix(o.drive.joins)
+        .mix(o.drive.late_joins)
+        .mix(o.drive.leaves)
+        .mix(o.drive.batches)
+        .mix(o.drive.admission_latency_s.count())
+        .mix_double(o.drive.admission_latency_s.mean())
+        .mix_double(o.drive.admission_latency_s.max())
+        .mix(o.steered_joins)
+        .mix(o.edge_failovers)
+        .mix(o.edge_failover_latency_s.count())
+        .mix_double(o.edge_failover_latency_s.mean())
+        .mix(o.proactive_migrations)
+        .mix(o.orphaned_viewers)
+        .mix(o.edge_spills)
+        .mix(o.overlay_assists)
+        .mix(o.control_drains)
+        .mix(o.events_processed);
+    for (const auto& [site, peak] : o.peak_loads) h.mix(site).mix(peak);
 
     // Per-record crowd core, channel-major global record order (unit
-    // order IS that order by construction).
+    // order IS that order by construction). The merged admission and
+    // re-attachment samplers are rebuilt in the same order, so they are
+    // identical at every sub-shard count too.
     const auto& slice_records = per_channel[unit.channel];
     std::size_t flat = 0;
     for (std::size_t i = 0; i < outcomes[u].admitted.size(); ++i) {
       const bool admitted = outcomes[u].admitted[i] != 0;
-      cmix(admitted ? 1 : 0);
+      ch.mix(admitted ? 1 : 0);
       if (!admitted) continue;
       const double lat = admission_latency(slice_records[unit.begin + i]);
-      cmix_double(lat);
-      if (substreams) stats.admission_latency_s.add(lat);
+      ch.mix_double(lat);
+      stats.admission_latency_s.add(lat);
       const std::uint32_t n = outcomes[u].reattach_count[i];
-      cmix(n);
+      ch.mix(n);
       for (std::uint32_t k = 0; k < n; ++k) {
         const double sample = outcomes[u].reattach_flat[flat++];
-        cmix_double(sample);
-        if (substreams) stats.reattach_latency_s.add(sample);
+        ch.mix_double(sample);
+        stats.reattach_latency_s.add(sample);
       }
     }
   }
-  cmix(stats.joins);
-  cmix(stats.late_joins);
-  cmix(stats.leaves);
-  cmix(stats.edge_failovers);
-  cmix(stats.orphaned_viewers);
+  ch.mix(stats.joins)
+      .mix(stats.late_joins)
+      .mix(stats.leaves)
+      .mix(stats.edge_failovers)
+      .mix(stats.orphaned_viewers);
 
   for (const auto& [site, peak] : peaks)
     stats.peak_edge_load = std::max(stats.peak_edge_load, peak);
-  stats.fingerprint = h;
-  stats.crowd_fingerprint = ch;
+  stats.fingerprint = h.value();
+  stats.crowd_fingerprint = ch.value();
   return stats;
 }
 

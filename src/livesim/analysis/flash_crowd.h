@@ -14,7 +14,7 @@
 //
 // Sharding/determinism -- TWO axes:
 //
-//  1. BY CHANNEL (PR 8): channels are independent broadcasts, so each
+//  1. BY CHANNEL: channels are independent broadcasts, so each
 //     shard owns a private Simulator + LivestreamService seeded from
 //     substream_seed(service_seed, channel), replays exactly that
 //     channel's records (in global record order), and expands the same
@@ -28,22 +28,22 @@
 //     session drive on its own Simulator replica of the channel's
 //     environment (same service seed, same broadcaster, same blackout).
 //     CrowdDriveConfig::record_index_offset keeps every record on the
-//     location/viewer-seed substream it draws in the full run, and
-//     viewer_substreams gives each viewer a personal RNG, so each
-//     record's own outcome (admission, admitted-or-late, re-attachment
-//     delay) is a pure function of its global index. Units merge in
+//     location and viewer streams it draws in the full run (a viewer's
+//     stream is keyed by its global record index), so each record's
+//     own outcome (admission, admitted-or-late, re-attachment delay) is
+//     a pure function of its global index. Units merge in
 //     (channel, sub-shard) order. A cost-weighted greedy plan
 //     (crowd_shard_plan) assigns units to workers so one giant channel
 //     no longer serializes the run.
 //
 // What is invariant across sub-shard counts: the per-viewer "crowd
 // core" (crowd_fingerprint) -- admitted bits, admission latencies,
-// re-attachment samples, join/leave/failover/orphan totals -- under
-// viewer_substreams with edge_capacity == 0 and the control plane off
-// (capacity and control verdicts couple viewers across a partition
-// boundary by construction). The FULL fingerprint is invariant across
-// THREAD counts at any fixed sub-shard count; sub_shards == 1 with
-// viewer_substreams off reproduces the PR 8 experiment bit for bit.
+// re-attachment samples, join/leave/failover/orphan totals -- with
+// edge_capacity == 0 and the control plane off (capacity and control
+// verdicts couple viewers across a partition boundary by construction).
+// The FULL fingerprint is invariant across THREAD counts at any fixed
+// sub-shard count. sub_shards == 1 runs the same code as any other
+// count: one unit per channel.
 #ifndef LIVESIM_ANALYSIS_FLASH_CROWD_H
 #define LIVESIM_ANALYSIS_FLASH_CROWD_H
 
@@ -96,14 +96,8 @@ struct FlashCrowdConfig {
   unsigned threads = 1;
   /// Intra-channel sharding: split every channel's record range into
   /// this many contiguous viewer-index sub-shards, each driven on its
-  /// own simulator replica. 1 (default) = the PR 8 by-channel run,
-  /// bit for bit. Values > 1 force viewer_substreams on (sub-sharding
-  /// is meaningless when viewers draw from a shared session stream).
+  /// own simulator replica. 1 (default) = one unit per channel.
   std::uint32_t sub_shards = 1;
-  /// Personal RNG substream per crowd viewer
-  /// (CrowdDriveConfig::viewer_substreams). Off (default) keeps the
-  /// historical session-stream draw order bit for bit.
-  bool viewer_substreams = false;
 };
 
 /// One (channel, sub-shard) unit of work: records [begin, end) of the
@@ -178,14 +172,13 @@ struct FlashCrowdStats {
   std::uint64_t events_processed = 0;
 
   /// FNV-1a over every per-unit outcome in (channel, sub-shard) order:
-  /// the threads {1,2,8} determinism pin BENCH_crowd.json tracks. At
-  /// sub_shards == 1 / viewer_substreams off this is the PR 8 value.
+  /// the threads {1,2,8} determinism pin BENCH_crowd.json tracks.
   std::uint64_t fingerprint = 0;
   /// FNV-1a over the per-viewer crowd core (admitted bits, admission
   /// latencies, re-attachment samples, global join/leave/failover
   /// totals) in channel-major global record order: invariant across
-  /// sub-shard counts AND thread counts under viewer_substreams with
-  /// edge_capacity == 0 and the control plane off.
+  /// sub-shard counts AND thread counts with edge_capacity == 0 and the
+  /// control plane off.
   std::uint64_t crowd_fingerprint = 0;
 
   // Shard-plan introspection (wall-clock measurements are never part of

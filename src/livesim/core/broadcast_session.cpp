@@ -5,6 +5,8 @@
 #include <optional>
 #include <utility>
 
+#include "livesim/sim/parallel.h"
+
 namespace livesim::core {
 
 namespace {
@@ -149,14 +151,13 @@ void BroadcastSession::start() {
     // Overlay assist armed: the origin also seeds the P2P mesh, so
     // parked capacity orphans keep receiving the stream edge-free.
     // (assist_mesh_ stays null without the control plane — no branch
-    // taken, no RNG drawn, disabled runs bit-identical.)
+    // taken, no RNG drawn.)
     if (assist_mesh_) assist_mesh_->push_chunk(c);
   });
 
   // --- viewers ---
   // Tier order mirrors the handoff ladder: RTMP ranks first, then LL-HLS,
-  // then HLS. With llhls_viewers == 0 this is exactly the historical
-  // rtmp-then-hls loop (same RNG draw order, same add_viewer sequence).
+  // then HLS.
   geo::UserGeoSampler geo_sampler;
   const std::uint32_t total =
       config_.rtmp_viewers + config_.llhls_viewers + config_.hls_viewers;
@@ -166,9 +167,9 @@ void BroadcastSession::start() {
         : i < config_.rtmp_viewers + config_.llhls_viewers
             ? cdn::DeliveryTier::kLlHls
             : cdn::DeliveryTier::kHls;
-    add_viewer_tier(config_.global_viewers ? geo_sampler.sample(rng_)
-                                           : config_.broadcaster_location,
-                    tier);
+    add_viewer(config_.global_viewers ? geo_sampler.sample(rng_)
+                                      : config_.broadcaster_location,
+               tier);
   }
 
   arm_faults();
@@ -176,9 +177,8 @@ void BroadcastSession::start() {
 }
 
 void BroadcastSession::start_control_plane() {
-  // Disabled: nothing is constructed and — critically — no substream is
-  // forked off rng_, so every subsequent draw matches the
-  // pre-control-plane sequence bit for bit.
+  // Disabled: nothing is constructed and no substream is forked off
+  // rng_.
   if (!config_.control.enabled) return;
   control_ = std::make_unique<control::ControlPlane>(sim_, config_.control,
                                                      rng_.fork());
@@ -233,7 +233,9 @@ void BroadcastSession::on_steer(
   const std::uint64_t dark[] = {t.site};
   for (auto& vp : viewers_) {
     Viewer& v = *vp;
-    if (!v.active || !v.hls || v.orphaned || v.on_mesh) continue;
+    if (!v.active || v.tier == cdn::DeliveryTier::kRtmp || v.orphaned ||
+        v.on_mesh)
+      continue;
     if (v.attachment.value != t.site) continue;
     ++proactive_migrations_;
     migrate_hls_viewer(v, t.decided_at, dark);
@@ -265,8 +267,7 @@ bool BroadcastSession::rescue_on_mesh(Viewer& v) {
 }
 
 void BroadcastSession::arm_faults() {
-  // Empty schedule: no injector, no extra RNG draws, no event-queue
-  // traffic -- the session is bit-identical to the pre-fault code.
+  // Empty schedule: no injector, no RNG draws, no event-queue traffic.
   if (config_.faults.empty()) return;
   auto injector = std::make_unique<fault::FaultInjector>(sim_, config_.faults);
   register_fault_handlers(*injector);
@@ -322,7 +323,9 @@ void BroadcastSession::on_ingest_crash(const fault::FaultEvent& e) {
       sim_.schedule_in(config_.rtmp_rejoin_delay, [this] {
         for (auto& vp : viewers_) {
           Viewer& v = *vp;
-          if (!v.active || v.orphaned || !v.hls || !v.was_rtmp) continue;
+          if (!v.active || v.orphaned || !v.was_rtmp ||
+              v.tier == cdn::DeliveryTier::kRtmp)
+            continue;
           rejoin_rtmp_viewer(v);
         }
       });
@@ -335,7 +338,7 @@ void BroadcastSession::on_ingest_crash(const fault::FaultEvent& e) {
   sim_.schedule_in(config_.failover_detect_timeout, [this, crashed_at] {
     for (auto& vp : viewers_) {
       Viewer& v = *vp;
-      if (!v.active || v.hls) continue;
+      if (!v.active || v.tier != cdn::DeliveryTier::kRtmp) continue;
       migrate_rtmp_viewer(v, crashed_at);
     }
   });
@@ -380,7 +383,9 @@ void BroadcastSession::on_edge_down(const fault::FaultEvent& e) {
       Viewer& v = *vp;
       // on_mesh viewers have no edge attachment to lose; viewers the
       // control plane already steered away no longer match the dark set.
-      if (!v.active || !v.hls || v.orphaned || v.on_mesh) continue;
+      if (!v.active || v.tier == cdn::DeliveryTier::kRtmp || v.orphaned ||
+          v.on_mesh)
+        continue;
       const bool hit = std::find(dark.begin(), dark.end(),
                                  v.attachment.value) != dark.end();
       if (hit) migrate_hls_viewer(v, now, dark);
@@ -392,7 +397,6 @@ void BroadcastSession::migrate_rtmp_viewer(Viewer& v, TimeUs crashed_at) {
   // Kill the old pipeline first so in-flight deliveries are dropped.
   ++v.generation;
   teardown_polling(v);
-  v.hls = true;
   // The measured app's failover target was plain HLS (the 2016 ladder had
   // no middle rung); migrated RTMP viewers land on kHls, never kLlHls.
   v.tier = cdn::DeliveryTier::kHls;
@@ -413,13 +417,7 @@ void BroadcastSession::migrate_rtmp_viewer(Viewer& v, TimeUs crashed_at) {
   v.failover_from_edge = false;
   v.pending_reattach = true;  // arm the wheel re-attachment measurement
   admit_to_edge(v, sel);
-
-  // Rebuild the last mile toward the edge (different distance).
-  auto link_params = config_.viewer_last_mile;
-  const double km =
-      geo::haversine_km(v.location, catalog_.get(v.attachment).location);
-  link_params.base_delay += config_.latency.mean_delay(km);
-  v.link = std::make_unique<net::Link>(sim_, link_params, viewer_rng(v).fork());
+  connect_last_mile(v);  // toward the edge: a different distance
 
   // The client tears down its RTMP pipeline and re-buffers on HLS: the
   // playback schedule re-anchors at the HLS pre-buffer, otherwise every
@@ -475,12 +473,7 @@ void BroadcastSession::migrate_hls_viewer(
   v.failover_from_edge = true;
   v.pending_reattach = true;  // arm the wheel re-attachment measurement
   admit_to_edge(v, sel);
-
-  auto link_params = config_.viewer_last_mile;
-  const double km =
-      geo::haversine_km(v.location, catalog_.get(v.attachment).location);
-  link_params.base_delay += config_.latency.mean_delay(km);
-  v.link = std::make_unique<net::Link>(sim_, link_params, viewer_rng(v).fork());
+  connect_last_mile(v);
 
   v.retired.push_back({std::move(v.playback), v.tier});
   v.playback = std::make_unique<client::PlaybackSchedule>(pull_prebuffer(v));
@@ -501,22 +494,16 @@ void BroadcastSession::rejoin_rtmp_viewer(Viewer& v) {
   // Re-attachment is the third pipeline state: tear down HLS polling,
   // flush the pipeline again (the retired HLS phase keeps its stats), and
   // resume on the persistent RTMP subscription, which delivers again as
-  // soon as v.hls is false.
+  // soon as the tier is back to kRtmp.
   ++v.generation;
   teardown_polling(v);
   detach_from_edge(v);  // the HLS attachment is torn down
   const cdn::DeliveryTier retired_tier = v.tier;  // the pull phase's ledger
-  v.hls = false;
   v.tier = cdn::DeliveryTier::kRtmp;
   v.failover_crash_at = -1;  // any unfinished failover measurement is moot
   v.pending_reattach = false;
   v.attachment = ingest_site_;
-
-  auto link_params = config_.viewer_last_mile;
-  const double km =
-      geo::haversine_km(v.location, catalog_.get(ingest_site_).location);
-  link_params.base_delay += config_.latency.mean_delay(km);
-  v.link = std::make_unique<net::Link>(sim_, link_params, viewer_rng(v).fork());
+  connect_last_mile(v);
 
   v.retired.push_back({std::move(v.playback), retired_tier});
   v.playback =
@@ -612,37 +599,27 @@ BroadcastSession::edge_peak_loads() const {
 }
 
 std::size_t BroadcastSession::add_viewer(
-    const geo::GeoPoint& location, bool hls,
-    std::span<const std::uint64_t> steer_avoid) {
-  return add_viewer_tier(
-      location, hls ? cdn::DeliveryTier::kHls : cdn::DeliveryTier::kRtmp,
-      steer_avoid);
-}
-
-std::size_t BroadcastSession::add_viewer_tier(
     const geo::GeoPoint& location, cdn::DeliveryTier tier,
     std::span<const std::uint64_t> steer_avoid,
-    std::uint64_t viewer_seed) {
-  auto v = std::make_unique<Viewer>();
+    std::optional<std::uint64_t> key) {
+  // The one place a viewer's stream is derived: a pure function of
+  // (session seed, key), so no other viewer's draws can shift it.
+  const std::size_t index = viewers_.size();
+  auto v = std::make_unique<Viewer>(
+      Rng(sim::substream_seed(config_.seed, key.value_or(index))));
   v->tier = tier;
-  v->hls = tier != cdn::DeliveryTier::kRtmp;  // both pull tiers poll edges
   v->was_rtmp = tier == cdn::DeliveryTier::kRtmp;
   v->location = location;
-  v->index = viewers_.size();  // the wheel's opaque member tag
-  // Constructed before the first draw below so EVERY stochastic choice the
-  // viewer owns (link jitter fork, poll phase, retries) comes from the
-  // personal substream when one was requested.
-  if (viewer_seed != 0) v->personal_rng = std::make_unique<Rng>(viewer_seed);
+  v->index = index;  // the wheel's opaque member tag
 
-  auto link_params = config_.viewer_last_mile;
-  if (v->hls) {
+  if (tier != cdn::DeliveryTier::kRtmp) {
     // Anycast skips dark PoPs (a viewer joining mid-outage) and sites
     // under a published drain/dead verdict (this session's own control
     // plane plus the caller's service-wide union) but is load-blind —
     // IP anycast does not know edge occupancy, so joins can push an
     // edge past capacity; only failover admissions spill. With no
     // outage and no verdicts this is exactly catalog_.nearest (same
-    // tie-break), so fault-free runs are bit-identical.
+    // tie-break).
     const EdgeSelection sel = nearest_live_edge(
         v->location, sim_.now(), {}, /*respect_capacity=*/false, steer_avoid);
     if (sel.dc != nullptr && sel.steered) ++steered_joins_;
@@ -654,24 +631,29 @@ std::size_t BroadcastSession::add_viewer_tier(
     // RTMP viewers always connect to the broadcaster's ingest site.
     v->attachment = ingest_site_;
   }
-  const double km =
-      geo::haversine_km(v->location, catalog_.get(v->attachment).location);
-  link_params.base_delay += config_.latency.mean_delay(km);
-  v->link = std::make_unique<net::Link>(sim_, link_params, viewer_rng(*v).fork());
+  connect_last_mile(*v);
   v->playback = std::make_unique<client::PlaybackSchedule>(
-      v->hls ? pull_prebuffer(*v) : config_.rtmp_prebuffer);
+      tier == cdn::DeliveryTier::kRtmp ? config_.rtmp_prebuffer
+                                       : pull_prebuffer(*v));
 
   if (tier == cdn::DeliveryTier::kLlHls) {
     ensure_part_pipeline();
     start_blocking_reload(*v);
-  } else if (v->hls) {
+  } else if (tier == cdn::DeliveryTier::kHls) {
     if (first_hls_viewer_ == nullptr) first_hls_viewer_ = v.get();
     start_hls_polling(*v);
   } else {
     attach_rtmp_viewer(*v);
   }
   viewers_.push_back(std::move(v));
-  return viewers_.size() - 1;
+  return index;
+}
+
+void BroadcastSession::connect_last_mile(Viewer& v) {
+  auto params = config_.viewer_last_mile;
+  params.base_delay += config_.latency.mean_delay(
+      geo::haversine_km(v.location, catalog_.get(v.attachment).location));
+  v.link = std::make_unique<net::Link>(sim_, params, v.rng.fork());
 }
 
 DurationUs BroadcastSession::pull_prebuffer(const Viewer& v) const noexcept {
@@ -698,11 +680,13 @@ void BroadcastSession::attach_rtmp_viewer(Viewer& v) {
       [this, viewer](const media::VideoFrame& f, TimeUs at_ingest) {
         // Skip if the viewer left (connection torn down) or failed over to
         // HLS after an ingest crash (the old subscription is dead).
-        if (!viewer->active || viewer->hls) return;
+        if (!viewer->active || viewer->tier != cdn::DeliveryTier::kRtmp)
+          return;
         const DurationUs d =
             viewer->link->sample_delay(f.size_bytes + kFrameHeaderBytes);
         sim_.schedule_in(d, [this, viewer, f, at_ingest, d] {
-          if (!viewer->active || viewer->hls) return;
+          if (!viewer->active || viewer->tier != cdn::DeliveryTier::kRtmp)
+            return;
           rtmp_.last_mile_s.add(time::to_seconds(d));
           viewer->playback->on_arrival(at_ingest + d, f.capture_ts,
                                        f.duration);
@@ -723,7 +707,7 @@ void BroadcastSession::remove_viewer(std::size_t index) {
   }
   // Orphans already shed their (dead) attachment during the failed
   // migration; detaching again would steal a slot from someone else.
-  if (v.hls && !v.orphaned) detach_from_edge(v);
+  if (v.tier != cdn::DeliveryTier::kRtmp && !v.orphaned) detach_from_edge(v);
 }
 
 void BroadcastSession::record_hls_chunk(Viewer& v, const media::Chunk& c,
@@ -764,8 +748,7 @@ void BroadcastSession::record_hls_chunk(Viewer& v, const media::Chunk& c,
 
 void BroadcastSession::ensure_part_pipeline() {
   // Armed once, by the first LL-HLS viewer. Two-tier configs never reach
-  // this, so the ingest's per-frame path and the engine's event stream
-  // stay bit-identical to the pre-LL-HLS behaviour.
+  // this: their ingest slices no parts.
   if (parts_armed_) return;
   parts_armed_ = true;
   ingest_->enable_parts(
@@ -802,7 +785,7 @@ void BroadcastSession::start_blocking_reload(Viewer& v) {
   v.pending_reattach = false;
   const TimeUs first =
       sim_.now() + static_cast<TimeUs>(
-                       viewer_rng(v).uniform() *
+                       v.rng.uniform() *
                        static_cast<double>(llhls_params_.part_duration));
   auto* viewer = &v;
   const std::uint64_t gen = v.generation;
@@ -850,7 +833,7 @@ bool BroadcastSession::reload_tick(Viewer& v) {
             // downloads: the whole response is discarded and the next
             // reload re-fetches (last_part_seq did not advance).
             if (recv < corruption_until_ && !fresh.empty() &&
-                viewer_rng(*viewer).bernoulli(corruption_prob_)) {
+                viewer->rng.bernoulli(corruption_prob_)) {
               ++corrupted_downloads_;
             } else {
               if (fresh.empty()) ++viewer->reload.empty_reloads;
@@ -930,10 +913,6 @@ TimeUs BroadcastSession::quantized_poll_phase(Rng& rng) {
   return t;
 }
 
-Rng& BroadcastSession::viewer_rng(Viewer& v) noexcept {
-  return v.personal_rng ? *v.personal_rng : rng_;
-}
-
 sim::PollWheel& BroadcastSession::wheel_for(cdn::EdgeServer& edge) {
   const bool fresh = edge.poll_wheel() == nullptr;
   auto& wheel = edge.poll_wheel(config_.hls_poll_interval,
@@ -989,7 +968,7 @@ void BroadcastSession::teardown_polling(Viewer& v) {
 }
 
 void BroadcastSession::start_hls_polling(Viewer& v) {
-  const TimeUs phase = quantized_poll_phase(viewer_rng(v));
+  const TimeUs phase = quantized_poll_phase(v.rng);
 
   // A refugee re-attaching after a migration: the quantize-to-next-slot
   // gap before its first poll tick on the new edge is the wheel
@@ -1064,7 +1043,7 @@ bool BroadcastSession::poll_tick(Viewer& v, TimeUs tick_time) {
                 // integrity check and is discarded whole; the next
                 // poll tick re-fetches (chunk re-fetch on corruption).
                 if (recv < corruption_until_ && !fresh.empty() &&
-                    viewer_rng(*viewer).bernoulli(corruption_prob_)) {
+                    viewer->rng.bernoulli(corruption_prob_)) {
                   ++corrupted_downloads_;
                   set_poll_outstanding(*viewer, false);
                   return;
@@ -1098,13 +1077,12 @@ void BroadcastSession::arm_poll_timeout(Viewer& v, std::uint64_t gen) {
 void BroadcastSession::poll_failed(Viewer& v, std::uint64_t gen) {
   if (!v.retry)
     v.retry = std::make_unique<client::PollRetryState>(config_.poll_retry);
-  if (!v.retry_rng) v.retry_rng = std::make_unique<Rng>(viewer_rng(v).fork());
 
   // Solo-timer demotion: the viewer leaves the wheel (or stops its
   // timer); PollRetryState alone paces the next attempt, so backoff
   // timing is exactly the client/retry.h schedule, never wheel-aligned.
   teardown_polling(v);
-  const auto retry_at = v.retry->on_failure(sim_.now(), *v.retry_rng);
+  const auto retry_at = v.retry->on_failure(sim_.now(), v.rng);
   if (!retry_at) return;  // gave up: inert until failover rescues it
   auto* viewer = &v;
   v.retry_event = sim_.schedule_at(*retry_at, [this, viewer, gen] {
@@ -1144,7 +1122,6 @@ BroadcastSession::viewer_results() const {
   out.reserve(viewers_.size());
   for (const auto& v : viewers_) {
     ViewerResult r;
-    r.hls = v->hls;
     r.tier = v->tier;
     r.orphaned = v->orphaned;
     r.location = v->location;
@@ -1155,8 +1132,8 @@ BroadcastSession::viewer_results() const {
     r.units_discarded = v->playback->units_discarded();
     if (!v->retired.empty()) {
       // Fold every retired phase back in: stall weighted by each phase's
-      // offered media, buffering via accumulator merge. (Skipped entirely
-      // for unmigrated viewers so fault-free results stay bit-identical.)
+      // offered media, buffering via accumulator merge. (Unmigrated
+      // viewers have one phase, read directly above.)
       double weighted = v->playback->stall_ratio() *
                         static_cast<double>(v->playback->media_offered());
       double offered = static_cast<double>(v->playback->media_offered());

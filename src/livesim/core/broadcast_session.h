@@ -14,6 +14,7 @@
 #define LIVESIM_CORE_BROADCAST_SESSION_H
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -56,9 +57,8 @@ struct SessionConfig {
   std::uint32_t rtmp_viewers = 3;
   std::uint32_t hls_viewers = 3;
   /// LL-HLS/CMAF viewers (the middle tier of the delivery ladder). 0 (the
-  /// default) means the partial-segment pipeline is never armed and the
-  /// session is bit-for-bit identical to the two-tier behaviour: no extra
-  /// RNG draws, no extra engine events.
+  /// default) never arms the partial-segment pipeline: a two-tier session
+  /// schedules no part events.
   std::uint32_t llhls_viewers = 0;
   /// When set, viewer locations are sampled from the global user
   /// distribution; otherwise everyone sits near the broadcaster.
@@ -92,13 +92,13 @@ struct SessionConfig {
 
   /// Opt-in client poll retry (the solo-timer demotion lane). Off (the
   /// default): an unanswered poll wedges the outstanding flag and the
-  /// viewer stops polling until failover migrates it — the historical
-  /// behaviour, bit for bit. On: a poll unanswered after
-  /// poll_retry_timeout demotes the viewer from the wheel (or stops its
-  /// timer) to a solo one-shot timer paced by client::PollRetryState's
-  /// capped exponential backoff; the first answered poll re-promotes it
-  /// to the steady-state tick source with a fresh phase. A viewer whose
-  /// streak exhausts max_attempts goes inert until failover rescues it.
+  /// viewer stops polling until failover migrates it. On: a poll
+  /// unanswered after poll_retry_timeout demotes the viewer from the
+  /// wheel (or stops its timer) to a solo one-shot timer paced by
+  /// client::PollRetryState's capped exponential backoff; the first
+  /// answered poll re-promotes it to the steady-state tick source with a
+  /// fresh phase. A viewer whose streak exhausts max_attempts goes inert
+  /// until failover rescues it.
   bool hls_poll_retry = false;
   client::PollRetryState::Params poll_retry{};
   DurationUs poll_retry_timeout = 1 * time::kSecond;
@@ -112,8 +112,8 @@ struct SessionConfig {
   bool record_journeys = false;
 
   /// Fault script injected into this session (fault/fault.h). Empty (the
-  /// default) means no injector is created and the session is bit-for-bit
-  /// identical to the pre-fault behaviour. Times are relative to start().
+  /// default) means no injector is created: nothing is drawn and no fault
+  /// event is scheduled. Times are relative to start().
   /// Correlated scripts (regional blackouts, cascades, rolling waves) are
   /// authored as a fault::FaultScenario and expanded into this same event
   /// form — or injected live via inject_faults() /
@@ -132,11 +132,11 @@ struct SessionConfig {
   DurationUs rtmp_rejoin_delay = 2 * time::kSecond;
 
   /// Concurrent-viewer capacity applied to every EdgeServer this session
-  /// creates. 0 (default) = unbounded — failover degenerates to PR 3's
-  /// single-nearest-edge re-anycast, bit for bit. Finite values gate
-  /// *failover admissions only*: organic anycast joins are load-blind
-  /// (they still count toward load), so a popular edge can already be
-  /// over capacity when a blackout's herd arrives and refuse all of it.
+  /// creates. 0 (default) = unbounded — failover re-anycasts to the
+  /// nearest live edge. Finite values gate *failover admissions only*:
+  /// organic anycast joins are load-blind (they still count toward
+  /// load), so a popular edge can already be over capacity when a
+  /// blackout's herd arrives and refuse all of it.
   std::uint64_t edge_capacity = 0;
   /// How many candidate edges (by the (distance, id) ranking) a failover
   /// may consider before orphaning: the spill rings. 0 = the entire
@@ -144,13 +144,12 @@ struct SessionConfig {
   std::uint32_t failover_spill_k = 0;
 
   /// Proactive control plane (control/health_monitor.h). Disabled (the
-  /// default): nothing is constructed, no RNG substream is forked, and
-  /// the session is bit-for-bit identical to the pre-control-plane
-  /// behaviour. Enabled: a HealthMonitor scrapes every instantiated edge
-  /// on scrape_interval, the SteeringPolicy publishes anycast-map
-  /// overrides steer_latency later, and new joins + failover re-anycast
-  /// route around draining/dead edges before client timeouts fire. A
-  /// published death proactively migrates the attached viewers. With
+  /// default): nothing is constructed and no RNG substream is forked.
+  /// Enabled: a HealthMonitor scrapes every instantiated edge on
+  /// scrape_interval, the SteeringPolicy publishes anycast-map overrides
+  /// steer_latency later, and new joins + failover re-anycast route
+  /// around draining/dead edges before client timeouts fire. A published
+  /// death proactively migrates the attached viewers. With
   /// control.overlay_assist, footprint saturation activates the overlay
   /// P2P mesh as edge offload: failovers that would orphan purely for
   /// capacity are parked on the mesh instead.
@@ -162,9 +161,8 @@ struct SessionConfig {
 class BroadcastSession {
  public:
   struct ViewerResult {
-    bool hls = false;         // on a pull tier (HLS or LL-HLS)
-    bool orphaned = false;    // failover found no live edge to land on
     cdn::DeliveryTier tier = cdn::DeliveryTier::kRtmp;
+    bool orphaned = false;    // failover found no live edge to land on
     geo::GeoPoint location;
     DatacenterId attachment;  // ingest (RTMP) or edge (HLS) site
     double stall_ratio = 0.0;
@@ -188,34 +186,25 @@ class BroadcastSession {
   /// breakdowns. Call once after the simulator drains; idempotent.
   void finalize();
 
-  /// Adds a viewer dynamically (possibly mid-broadcast). RTMP viewers
-  /// attach to the broadcaster's ingest site, HLS viewers to their
-  /// nearest edge via anycast. `steer_avoid` is a SORTED span of edge
-  /// site ids published as draining/dead by some control plane (the
-  /// service-wide union LivestreamService assembles): organic joins
-  /// route around them exactly like this session's own published
-  /// overrides. An empty span (the default) is bit-for-bit the
-  /// historical behaviour. Returns the viewer's index.
-  std::size_t add_viewer(const geo::GeoPoint& location, bool hls,
-                         std::span<const std::uint64_t> steer_avoid = {});
-
-  /// Tier-explicit add_viewer: the pluggable-backend entry point.
-  /// kRtmp/kHls behave exactly like add_viewer(location, hls) -- same RNG
-  /// draws, same event order, bit for bit. kLlHls attaches like an HLS
-  /// viewer (load-blind anycast) but arms the partial-segment pipeline and
+  /// Adds a viewer on delivery tier `tier`, possibly mid-broadcast. RTMP
+  /// viewers attach to the broadcaster's ingest site; pull viewers (HLS,
+  /// LL-HLS) to their nearest edge via load-blind anycast, and kLlHls
   /// runs the blocking-playlist-reload loop instead of free polling.
+  /// `steer_avoid` is a SORTED span of edge site ids published as
+  /// draining/dead by some control plane (the service-wide union
+  /// LivestreamService assembles): joins route around them exactly like
+  /// this session's own published overrides.
   ///
-  /// `viewer_seed != 0` gives the viewer a PERSONAL RNG substream: its
-  /// poll phase, last-mile link jitter, retry stream, and migration
-  /// re-draws all come from Rng(viewer_seed) instead of the shared
-  /// session stream, so the viewer's delivery randomness is a pure
-  /// function of (config, viewer_seed) — the property the sub-sharded
-  /// crowd drive partitions on. 0 (the default) draws from the session
-  /// RNG in event order, the historical sequence bit for bit.
-  std::size_t add_viewer_tier(const geo::GeoPoint& location,
-                              cdn::DeliveryTier tier,
-                              std::span<const std::uint64_t> steer_avoid = {},
-                              std::uint64_t viewer_seed = 0);
+  /// Every draw the viewer owns -- poll phase, last-mile link jitter,
+  /// corruption, retry backoff -- comes from its own stream, seeded from
+  /// (config.seed, key). `key` defaults to the viewer's index; a crowd
+  /// drive passes the record's global index, so a viewer's randomness
+  /// does not depend on which sub-shard admitted it. Two viewers given
+  /// one key draw the same sequence. Returns the viewer's index.
+  std::size_t add_viewer(const geo::GeoPoint& location,
+                         cdn::DeliveryTier tier,
+                         std::span<const std::uint64_t> steer_avoid = {},
+                         std::optional<std::uint64_t> key = std::nullopt);
 
   /// Detaches a viewer: HLS polling stops, RTMP pushes are no longer
   /// delivered. Playback stats remain queryable. Idempotent.
@@ -226,9 +215,6 @@ class BroadcastSession {
   /// Live playback state of a viewer (for feedback/interaction models).
   const client::PlaybackSchedule& viewer_playback(std::size_t index) const {
     return *viewers_.at(index)->playback;
-  }
-  bool viewer_is_hls(std::size_t index) const {
-    return viewers_.at(index)->hls;
   }
 
   // --- results ---
@@ -357,16 +343,34 @@ class BroadcastSession {
 
  private:
   struct Viewer {
-    bool hls = false;       // pull tier (HLS or LL-HLS): polls an edge
+    explicit Viewer(Rng stream) : rng(stream) {}
+
+    /// Which delivery backend serves this viewer right now: kRtmp is the
+    /// push path, both pull tiers poll an edge. The one tier state every
+    /// failover sweep, ledger and tick lane keys on. The flags sit next
+    /// to it so they pack into one word.
+    cdn::DeliveryTier tier = cdn::DeliveryTier::kRtmp;
     bool active = true;
     bool was_rtmp = false;  // joined on the RTMP path (rejoin candidate)
     bool orphaned = false;  // failover found no live edge; playback froze
-    /// Which delivery backend serves this viewer right now. `hls` stays
-    /// the pull-vs-push bit every failover sweep and ledger keys on;
-    /// `tier` refines it for the breakdown routing and the reload lane.
-    cdn::DeliveryTier tier = cdn::DeliveryTier::kRtmp;
+    /// A migration armed a wheel re-attachment measurement; cleared when
+    /// the sample is scored (or the refugee lands on a no-wheel lane).
+    bool pending_reattach = false;
+    /// One request in flight. While wheel-attached the authoritative bit
+    /// lives in the wheel's SoA cohort ledger; this bool covers the timer
+    /// and solo lanes (and viewers whose slot was just torn down).
+    bool poll_outstanding = false;
+    /// Which ledger the in-flight failover belongs to (RTMP->HLS vs
+    /// edge-to-edge).
+    bool failover_from_edge = false;
+    /// Overlay-assist parking: the viewer lives on the P2P mesh instead
+    /// of an edge (capacity orphan rescued by the control plane).
+    bool on_mesh = false;
     geo::GeoPoint location;
     DatacenterId attachment{};
+    /// The viewer's own stream (see add_viewer): phase, link, corruption
+    /// and retry draws.
+    Rng rng;
     std::unique_ptr<net::Link> link;
     std::unique_ptr<client::PlaybackSchedule> playback;
     /// Schedules retired at each pipeline flush (RTMP->HLS failover,
@@ -395,21 +399,9 @@ class BroadcastSession {
     sim::CohortSlot cohort{};
     sim::EventHandle retry_event{};
     std::unique_ptr<client::PollRetryState> retry;  // lazily, first failure
-    std::unique_ptr<Rng> retry_rng;
-    /// Personal RNG substream (add_viewer_tier's viewer_seed != 0):
-    /// phase, link, retry, and migration draws come from here instead of
-    /// the session stream. Null (legacy) = session stream, bit for bit.
-    std::unique_ptr<Rng> personal_rng;
-    /// A migration armed a wheel re-attachment measurement; cleared when
-    /// the sample is scored (or the refugee lands on a no-wheel lane).
-    bool pending_reattach = false;
     /// Re-attachment samples in event order (reattach_latency_s source).
     std::vector<double> reattach_samples;
     std::int64_t last_seq = -1;
-    /// One request in flight. While wheel-attached the authoritative bit
-    /// lives in the wheel's SoA cohort ledger; this bool covers the timer
-    /// and solo lanes (and viewers whose slot was just torn down).
-    bool poll_outstanding = false;
     /// Attachment epoch: bumped at every migration so responses in flight
     /// from a previous attachment are dropped (the client closed that
     /// connection), never delivered into the new pipeline.
@@ -417,14 +409,10 @@ class BroadcastSession {
     /// Set while a failover is in flight: the death time, cleared (and
     /// the latency recorded) when the first post-migration chunk lands.
     TimeUs failover_crash_at = -1;
-    /// Which ledger the in-flight failover belongs to (RTMP->HLS vs
-    /// edge-to-edge).
-    bool failover_from_edge = false;
-    /// Overlay-assist parking: the viewer lives on the P2P mesh instead
-    /// of an edge (capacity orphan rescued by the control plane).
-    bool on_mesh = false;
     std::uint64_t mesh_peer = 0;
   };
+  // Per-viewer memory budget: a 100k-viewer crowd holds 100k of these.
+  static_assert(sizeof(Viewer) <= 272);
 
   /// One failover/anycast admission decision by the spill policy.
   struct EdgeSelection {
@@ -444,6 +432,8 @@ class BroadcastSession {
 
   cdn::EdgeServer& edge_for(DatacenterId site);
   sim::PollWheel& wheel_for(cdn::EdgeServer& edge);
+  /// (Re)builds the viewer's last mile toward its current attachment.
+  void connect_last_mile(Viewer& v);
   void attach_rtmp_viewer(Viewer& v);
   void start_hls_polling(Viewer& v);
   /// Tier dispatch for (re)starting a pull viewer's delivery loop: kHls
@@ -461,8 +451,8 @@ class BroadcastSession {
   void record_llhls_part(Viewer& v, const media::Part& p, TimeUs poll_at_edge,
                          TimeUs recv_time, DurationUs download_delay);
   /// Installs the ingest part slicer + edge fan-out once (first LL-HLS
-  /// viewer). Never called on two-tier configs: legacy runs schedule
-  /// zero part events.
+  /// viewer). Never called on two-tier configs, which schedule zero
+  /// part events.
   void ensure_part_pipeline();
   /// The pre-buffer a pull viewer re-anchors with after a pipeline flush.
   DurationUs pull_prebuffer(const Viewer& v) const noexcept;
@@ -484,9 +474,6 @@ class BroadcastSession {
   DurationUs poll_slot_width() const noexcept;
   DurationUs effective_poll_interval() const noexcept;
   TimeUs quantized_poll_phase(Rng& rng);
-  /// The stream a viewer's randomness comes from: the personal substream
-  /// when one exists, otherwise the shared session stream (legacy order).
-  Rng& viewer_rng(Viewer& v) noexcept;
   // Solo retry lane (config.hls_poll_retry only).
   void arm_poll_timeout(Viewer& v, std::uint64_t gen);
   void poll_failed(Viewer& v, std::uint64_t gen);

@@ -6,13 +6,6 @@
 
 namespace livesim::core {
 
-namespace {
-// Separates viewer personal-RNG substreams from the location substreams
-// drawn off the same (seed, record index) pairs (splitmix64's third
-// multiplier — any fixed odd constant works).
-constexpr std::uint64_t kViewerSubstreamSalt = 0x94D049BB133111EBULL;
-}  // namespace
-
 LivestreamService::LivestreamService(sim::Simulator& sim,
                                      const geo::DatacenterCatalog& catalog,
                                      Config config)
@@ -102,13 +95,13 @@ std::optional<LivestreamService::ViewerHandle> LivestreamService::join_as(
   // Organic joins consult the service-wide verdict union: a site ANY
   // live session's control plane published as draining/dead is steered
   // around, not just this broadcast's own overrides (the cross-session
-  // gap the per-session map left open). Empty union = historical path.
+  // gap the per-session map left open).
   return join_steered(id, viewer, location, published_avoid());
 }
 
 std::optional<LivestreamService::ViewerHandle> LivestreamService::join_steered(
     BroadcastId id, UserId viewer, const geo::GeoPoint& location,
-    std::span<const std::uint64_t> avoid, std::uint64_t viewer_seed) {
+    std::span<const std::uint64_t> avoid, std::optional<std::uint64_t> key) {
   Broadcast* b = live_broadcast(id);
   if (b == nullptr) return std::nullopt;
   if (b->info.is_private &&
@@ -122,8 +115,7 @@ std::optional<LivestreamService::ViewerHandle> LivestreamService::join_steered(
   // LL-HLS, everyone after lands on plain HLS. Every comparison is `<`
   // against the tier's ledger (the pinned boundary contract: the viewer
   // whose rank EQUALS a cap is the first member of the next tier). With
-  // llhls_slot_cap == 0 the middle branch is dead and this is exactly
-  // the historical two-way split.
+  // llhls_slot_cap == 0 the middle branch is dead: the two-way split.
   if (b->info.rtmp_viewers < config_.rtmp_slot_cap)
     handle.tier = cdn::DeliveryTier::kRtmp;
   else if (b->info.llhls_viewers < config_.llhls_slot_cap)
@@ -133,7 +125,7 @@ std::optional<LivestreamService::ViewerHandle> LivestreamService::join_steered(
   handle.rtmp = handle.tier == cdn::DeliveryTier::kRtmp;
   handle.can_comment = handle.rtmp && b->commenters.admit_commenter();
   handle.viewer_index =
-      b->session->add_viewer_tier(location, handle.tier, avoid, viewer_seed);
+      b->session->add_viewer(location, handle.tier, avoid, key);
   switch (handle.tier) {
     case cdn::DeliveryTier::kRtmp:
       b->info.rtmp_viewers += 1;
@@ -235,19 +227,10 @@ void LivestreamService::fire_crowd_batch(CrowdDrive& drive, TimeUs at,
     const BroadcastId channel = r.channel < drive.channels.size()
                                     ? drive.channels[r.channel]
                                     : BroadcastId{};
-    // Personal viewer substream, keyed by the record's GLOBAL index so a
-    // sub-shard slice hands every viewer the exact seed the full run
-    // would. Salted so the stream never collides with the location
-    // substream drawn from the same (seed, index) pair above; 0 is
-    // reserved for "no personal stream", so it is nudged.
-    std::uint64_t vseed = 0;
-    if (drive.config.viewer_substreams) {
-      vseed = sim::substream_seed(drive.config.seed ^ kViewerSubstreamSalt,
-                                  drive.config.record_index_offset + i);
-      if (vseed == 0) vseed = 1;
-    }
-    auto handle =
-        join_steered(channel, UserId{}, drive.locations[i], avoid, vseed);
+    // The viewer's stream is keyed by the record's GLOBAL index, so a
+    // sub-shard slice hands every viewer the stream the full run would.
+    auto handle = join_steered(channel, UserId{}, drive.locations[i], avoid,
+                               drive.config.record_index_offset + i);
     if (!handle.has_value()) {
       // The channel ended before this record's (quantized) join landed,
       // or the record maps past the channel span.

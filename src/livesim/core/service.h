@@ -35,8 +35,7 @@ class LivestreamService {
     std::uint32_t rtmp_slot_cap = 100;    // the paper's first-100 policy
     /// LL-HLS slots after the RTMP cap (the three-way handoff ladder:
     /// RTMP -> LL-HLS -> HLS by join rank). 0 (the default) disables the
-    /// middle tier: the handoff is the historical two-way split, bit for
-    /// bit.
+    /// middle tier: the handoff is the paper's two-way split.
     ///
     /// Boundary contract (pinned by HandoffBoundary tests): a viewer's
     /// 0-based join rank within the pull ladder is compared with `<`
@@ -147,21 +146,14 @@ class LivestreamService {
     /// in record order, so the drive is byte-identical at every thread
     /// count.
     std::uint64_t seed = 1;
-    /// Global index of records[0]. A sub-sharded crowd (a slice of a
-    /// channel's record range driven on its own simulator) passes the
-    /// slice's begin so every record keeps the location/viewer-seed
-    /// substream it would draw in the full run — the partition
-    /// invariance the intra-channel sharding axis rests on. 0 = the
-    /// records span the whole drive (the historical behavior).
+    /// Global index of records[0]. Record i joins with viewer key
+    /// record_index_offset + i (BroadcastSession::add_viewer), so a
+    /// sub-sharded crowd (a slice of a channel's record range driven on
+    /// its own simulator) passes the slice's begin and every record keeps
+    /// the location and viewer streams it would draw in the full run —
+    /// the partition invariance the intra-channel sharding axis rests
+    /// on. 0 = the records span the whole drive.
     std::uint64_t record_index_offset = 0;
-    /// Give each admitted viewer a personal RNG substream,
-    /// substream_seed(seed ^ salt, record_index_offset + i), instead of
-    /// drawing phase/link/retry randomness from the session stream in
-    /// event order. Makes each viewer's delivery randomness a pure
-    /// function of its global record index — required for sub-shard
-    /// partition invariance; off (the default) preserves the historical
-    /// session-stream draw order bit for bit.
-    bool viewer_substreams = false;
   };
 
   struct CrowdDriveStats {
@@ -292,7 +284,8 @@ class LivestreamService {
   void deliver_feedback(Broadcast& b, const msg::Message& m, bool via_rtmp);
   std::optional<ViewerHandle> join_steered(
       BroadcastId id, UserId viewer, const geo::GeoPoint& location,
-      std::span<const std::uint64_t> avoid, std::uint64_t viewer_seed = 0);
+      std::span<const std::uint64_t> avoid,
+      std::optional<std::uint64_t> key = std::nullopt);
   void fire_crowd_batch(CrowdDrive& drive, TimeUs at,
                         std::span<const std::uint64_t> ops);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "livesim/sim/parallel.h"
+#include "livesim/util/fingerprint.h"
 #include "livesim/util/rng.h"
 
 namespace livesim::workload {
@@ -157,17 +158,12 @@ CrowdShape crowd_shape(const std::vector<CrowdRecord>& records,
 }
 
 std::uint64_t crowd_fingerprint(const std::vector<CrowdRecord>& records) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  for (const auto& r : records) {
-    mix(r.channel);
-    mix(static_cast<std::uint64_t>(r.join));
-    mix(static_cast<std::uint64_t>(r.stay));
-  }
-  return h;
+  util::Fingerprint h;
+  for (const auto& r : records)
+    h.mix(r.channel)
+        .mix(static_cast<std::uint64_t>(r.join))
+        .mix(static_cast<std::uint64_t>(r.stay));
+  return h.value();
 }
 
 }  // namespace livesim::workload

@@ -467,7 +467,8 @@ TEST(SessionControl, FlappingEdgeDoesNotRecaptureWhileDraining) {
   // ~25.6 s at the earliest: revival + 2 s cooldown + steer latency).
   std::size_t late = 0;
   sim.schedule_in(24'500 * time::kMillisecond, [&] {
-    late = session.add_viewer(cfg.broadcaster_location, /*hls=*/true);
+    late = session.add_viewer(cfg.broadcaster_location,
+                              cdn::DeliveryTier::kHls);
   });
   sim.run();
   session.finalize();

@@ -454,7 +454,6 @@ analysis::FlashCrowdConfig sub_shard_config(unsigned threads,
   cfg.preset.channel_zipf_s = 4.0;  // one giant channel
   cfg.threads = threads;
   cfg.sub_shards = sub_shards;
-  cfg.viewer_substreams = true;
   // The crowd-core invariance regime: load-blind joins, no control
   // verdicts (both couple viewers ACROSS a partition boundary).
   cfg.session.edge_capacity = 0;
@@ -536,22 +535,6 @@ TEST(FlashCrowdSubShard, ReattachLedgerScoresEveryRefugeeOnce) {
       (1.0 + 1.0 / std::max<std::uint32_t>(1, s.poll_wheel_slots));
   EXPECT_GT(stats.reattach_latency_s.min(), 0.0);
   EXPECT_LE(stats.reattach_latency_s.max(), bound_s);
-}
-
-TEST(FlashCrowdSubShard, PersonalSubstreamsChangeTheLegacyDrawOrder) {
-  // Sanity: the substream flag really reroutes randomness — otherwise
-  // the invariance tests above would pass vacuously.
-  const auto catalog = geo::DatacenterCatalog::paper_footprint();
-  auto legacy = sub_shard_config(1, 1);
-  legacy.viewer_substreams = false;
-  const auto a = flash_crowd_experiment(catalog, legacy);
-  const auto b = flash_crowd_experiment(catalog, sub_shard_config(1, 1));
-  EXPECT_NE(a.fingerprint, b.fingerprint);
-  // But the records and admission arithmetic are shared: joins and the
-  // analytic crowd totals agree.
-  EXPECT_EQ(a.viewers, b.viewers);
-  EXPECT_EQ(a.joins, b.joins);
-  EXPECT_EQ(a.late_joins, b.late_joins);
 }
 
 }  // namespace

@@ -110,7 +110,7 @@ TEST(Integration, ViewerResultsExposeAttachmentGeography) {
 
   for (const auto& v : session.viewer_results()) {
     const auto& dc = catalog.get(v.attachment);
-    if (v.hls) {
+    if (v.tier != cdn::DeliveryTier::kRtmp) {
       EXPECT_EQ(dc.role, geo::CdnRole::kEdge);
       // Anycast really picked the nearest edge.
       const auto& nearest = catalog.nearest(v.location, geo::CdnRole::kEdge);
@@ -141,8 +141,9 @@ TEST(Integration, ComponentDecompositionSumsToGroundTruth) {
   session.finalize();
 
   stats::Accumulator rtmp_truth, hls_truth;
+  const auto results = session.viewer_results();
   for (std::size_t i = 0; i < session.viewer_count(); ++i) {
-    (session.viewer_is_hls(i) ? hls_truth : rtmp_truth)
+    (results[i].tier == cdn::DeliveryTier::kRtmp ? rtmp_truth : hls_truth)
         .merge(session.viewer_playback(i).end_to_end_s());
   }
   const double rtmp_sum = session.rtmp_breakdown().total_s();

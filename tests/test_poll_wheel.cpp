@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -29,6 +28,7 @@
 #include "livesim/sim/poll_wheel.h"
 #include "livesim/sim/simulator.h"
 #include "livesim/util/rng.h"
+#include "session_fingerprint.h"
 
 namespace {
 using namespace livesim;
@@ -425,50 +425,7 @@ TEST(PollWheelChurn, HeavyChurnKeepsLedgerConsistent) {
 
 // --- 2b. Session-level wheels-on/off bit-identity ---------------------
 
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= 0x100000001b3ULL;
-  return h;
-}
-
-std::uint64_t mix_double(std::uint64_t h, double x) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  return mix(h, bits);
-}
-
-std::uint64_t session_fingerprint(const core::BroadcastSession& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& v : s.viewer_results()) {
-    h = mix(h, v.hls ? 1 : 0);
-    h = mix(h, v.orphaned ? 1 : 0);
-    h = mix(h, v.attachment.value);
-    h = mix_double(h, v.stall_ratio);
-    h = mix_double(h, v.mean_buffering_s);
-    h = mix(h, v.units_played);
-    h = mix(h, v.units_discarded);
-  }
-  h = mix(h, s.rtmp_failovers());
-  h = mix(h, s.edge_failovers());
-  h = mix(h, s.orphaned_viewers());
-  h = mix(h, s.edge_spills());
-  h = mix(h, s.corrupted_downloads());
-  h = mix_double(h, s.hls_breakdown().buffering_s.mean());
-  h = mix_double(h, s.rtmp_breakdown().buffering_s.mean());
-  h = mix_double(h, s.failover_latency_s().mean());
-  h = mix_double(h, s.edge_failover_latency_s().mean());
-  return h;
-}
-
-std::uint64_t run_session(const core::SessionConfig& cfg) {
-  sim::Simulator sim;
-  const auto catalog = geo::DatacenterCatalog::paper_footprint();
-  core::BroadcastSession session(sim, catalog, cfg);
-  session.start();
-  sim.run();
-  session.finalize();
-  return session_fingerprint(session);
-}
+using test::run_session;
 
 std::uint64_t run_session_wheel(core::SessionConfig cfg, bool wheel) {
   cfg.poll_wheel = wheel;
@@ -631,22 +588,27 @@ TEST(RetryLane, OffByDefaultAndInertOnFaultFreeRuns) {
 }
 
 TEST(RetryLane, TimedOutPollDemotesToBackedOffSoloAttempts) {
-  // A PoP flap shorter than the failover detect window: polls that hit
-  // the dead edge are dropped silently. Without the retry lane each
-  // wedged viewer stops polling until failover; with it, viewers keep
-  // re-polling on solo backoff timers -- strictly more dropped polls
-  // land on the dead edge before the migration rescues everyone.
+  // A PoP blackout: polls that hit the dead edge are dropped silently.
+  // Without the retry lane a viewer's first unanswered poll wedges it
+  // until failover -- exactly one drop per viewer. With it, the viewer
+  // times out and re-polls on a solo backoff timer, so the dead edge
+  // eats more. Both hold by construction at any seed: the default 1 s
+  // timeout never fires on a healthy poll, and the 5 s detect window
+  // outlasts one poll interval (2.8 s) plus one timeout-and-backoff
+  // cycle (1 s + at most 0.24 s), so every viewer hits the dead edge
+  // once, and with retry at least twice, before the migration.
   const auto catalog = geo::DatacenterCatalog::paper_footprint();
-  auto run = [&](bool retry) {
+  constexpr std::uint32_t kViewers = 8;
+  auto dropped = [&](std::uint64_t seed, bool retry) {
     sim::Simulator sim;
     core::SessionConfig cfg;
     cfg.broadcast_len = 60 * time::kSecond;
     cfg.rtmp_viewers = 0;
-    cfg.hls_viewers = 8;
+    cfg.hls_viewers = kViewers;
     cfg.global_viewers = false;
-    cfg.seed = 5;
+    cfg.seed = seed;
+    cfg.failover_detect_timeout = 5 * time::kSecond;
     cfg.hls_poll_retry = retry;
-    cfg.poll_retry_timeout = 300 * time::kMillisecond;
     cfg.poll_retry.backoff.base = 200 * time::kMillisecond;
     cfg.poll_retry.backoff.cap = 400 * time::kMillisecond;
     fault::RegionalBlackoutSpec spec;
@@ -667,11 +629,11 @@ TEST(RetryLane, TimedOutPollDemotesToBackedOffSoloAttempts) {
       EXPECT_GT(v.units_played, 0u);
     return session.edges().at(dead_site)->polls_dropped();
   };
-  const auto dropped_without = run(false);
-  const auto dropped_with = run(true);
-  ASSERT_GT(dropped_without, 0u);  // the flap actually ate polls
-  EXPECT_GT(dropped_with, dropped_without)
-      << "retry lane produced no extra poll attempts during the outage";
+  for (std::uint64_t seed = 5; seed <= 12; ++seed) {
+    EXPECT_EQ(dropped(seed, false), kViewers) << "seed " << seed;
+    EXPECT_GT(dropped(seed, true), kViewers)
+        << "retry lane produced no extra poll attempts, seed " << seed;
+  }
 }
 
 TEST(RetryLane, GiveUpIsTerminalUntilFailoverRescues) {

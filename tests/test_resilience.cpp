@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
 #include <vector>
 
@@ -23,40 +22,27 @@
 #include "livesim/fault/scenario.h"
 #include "livesim/sim/parallel.h"
 #include "livesim/workload/crowd.h"
+#include "session_fingerprint.h"
 
 namespace {
 using namespace livesim;
 
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= 0x100000001b3ULL;
-  return h;
-}
-
-std::uint64_t mix_double(std::uint64_t h, double x) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  return mix(h, bits);
-}
-
 std::uint64_t fingerprint(const stats::Sampler& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (double x : s.samples()) h = mix_double(h, x);
-  return h;
+  return util::Fingerprint().mix_doubles(s.samples()).value();
 }
 
 std::uint64_t fingerprint(const analysis::ResilienceStats& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = mix(h, fingerprint(r.stall_ratio));
-  h = mix(h, fingerprint(r.rebuffer_count));
-  h = mix(h, fingerprint(r.failover_latency_s));
-  h = mix(h, r.counters.viewers);
-  h = mix(h, r.counters.faults_injected);
-  h = mix(h, r.counters.ingest_crashes);
-  h = mix(h, r.counters.failovers);
-  h = mix(h, r.counters.unrecoverable);
-  h = mix(h, r.counters.chunk_refetches);
-  return h;
+  return util::Fingerprint()
+      .mix(fingerprint(r.stall_ratio))
+      .mix(fingerprint(r.rebuffer_count))
+      .mix(fingerprint(r.failover_latency_s))
+      .mix(r.counters.viewers)
+      .mix(r.counters.faults_injected)
+      .mix(r.counters.ingest_crashes)
+      .mix(r.counters.failovers)
+      .mix(r.counters.unrecoverable)
+      .mix(r.counters.chunk_refetches)
+      .value();
 }
 
 std::vector<analysis::BroadcastTrace> small_trace_set(unsigned threads) {
@@ -178,16 +164,7 @@ TEST(ResilienceDeterminism, FaultySessionIsReproducible) {
     session.start();
     sim.run();
     session.finalize();
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const auto& v : session.viewer_results()) {
-      h = mix(h, v.hls ? 1 : 0);
-      h = mix_double(h, v.stall_ratio);
-      h = mix_double(h, v.mean_buffering_s);
-      h = mix(h, v.units_played);
-    }
-    h = mix(h, session.rtmp_failovers());
-    h = mix_double(h, session.failover_latency_s().mean());
-    return h;
+    return test::session_fingerprint(session).value();
   };
   EXPECT_EQ(run(), run());
 }
@@ -220,7 +197,7 @@ TEST(Failover, IngestCrashMigratesEveryRtmpViewerViaW2f) {
   // Every viewer ends on the HLS path and kept playing after the crash.
   std::size_t on_hls = 0;
   for (const auto& v : session.viewer_results()) {
-    if (v.hls) ++on_hls;
+    if (v.tier != cdn::DeliveryTier::kRtmp) ++on_hls;
     EXPECT_GT(v.units_played, 0u);
   }
   EXPECT_EQ(on_hls, session.viewer_count());
@@ -256,7 +233,7 @@ TEST(Failover, MigratedViewersKeepPlayingAfterTheCrash) {
   }
   // Merged (RTMP phase + HLS phase) per-viewer results barely stall.
   for (const auto& v : session.viewer_results()) {
-    EXPECT_TRUE(v.hls);
+    EXPECT_EQ(v.tier, cdn::DeliveryTier::kHls);
     EXPECT_LT(v.stall_ratio, 0.2);
   }
 }
@@ -264,15 +241,14 @@ TEST(Failover, MigratedViewersKeepPlayingAfterTheCrash) {
 // --- 4. Correlated fault scenarios -----------------------------------
 
 std::uint64_t fingerprint(const fault::FaultSchedule& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& e : s.events()) {
-    h = mix(h, static_cast<std::uint64_t>(e.at));
-    h = mix(h, static_cast<std::uint64_t>(e.kind));
-    h = mix(h, static_cast<std::uint64_t>(e.duration));
-    h = mix(h, e.target);
-    h = mix_double(h, e.magnitude);
-  }
-  return h;
+  util::Fingerprint h;
+  for (const auto& e : s.events())
+    h.mix(static_cast<std::uint64_t>(e.at))
+        .mix(static_cast<std::uint64_t>(e.kind))
+        .mix(static_cast<std::uint64_t>(e.duration))
+        .mix(e.target)
+        .mix_double(e.magnitude);
+  return h.value();
 }
 
 TEST(ScenarioExpansion, EmptyScenarioExpandsToEmptySchedule) {
@@ -431,6 +407,43 @@ TEST(Failover, RegionalBlackoutOfEveryEdgeOrphansViewers) {
   EXPECT_EQ(orphaned, cfg.hls_viewers);
 }
 
+// Every draw a viewer owns comes from its own stream: an unrelated
+// viewer joining the same session on another edge cannot move the
+// re-attachment delay the blackout charges viewer A.
+TEST(ViewerStream, UnrelatedViewerLeavesReattachSampleUnchanged) {
+  const auto catalog = geo::DatacenterCatalog::paper_footprint();
+  auto reattach_of_a = [&](bool with_b) {
+    sim::Simulator sim;
+    core::SessionConfig cfg;
+    cfg.broadcast_len = 60 * time::kSecond;
+    cfg.rtmp_viewers = 0;
+    cfg.hls_viewers = 1;  // A, on the broadcaster's edge
+    cfg.global_viewers = false;
+    cfg.seed = 3;
+    fault::RegionalBlackoutSpec spec;
+    spec.at = 20 * time::kSecond;
+    spec.duration = 15 * time::kSecond;
+    spec.center = cfg.broadcaster_location;
+    spec.radius_km = 0.0;
+    fault::FaultScenario scenario;
+    scenario.add(spec);
+    cfg.faults = scenario.expand(catalog, cfg.seed);
+
+    core::BroadcastSession session(sim, catalog, cfg);
+    session.start();
+    if (with_b) session.add_viewer({48.86, 2.35}, cdn::DeliveryTier::kHls);
+    sim.run();
+    session.finalize();
+    EXPECT_EQ(session.edge_failovers(), 1u);  // only A's edge went dark
+    const auto samples = session.viewer_reattach_samples(0);
+    EXPECT_EQ(samples.size(), 1u);
+    return samples.empty() ? -1.0 : samples.front();
+  };
+  const double alone = reattach_of_a(false);
+  EXPECT_GT(alone, 0.0);
+  EXPECT_EQ(reattach_of_a(true), alone);
+}
+
 // --- 6. RTMP re-join after ingest restart ----------------------------
 
 TEST(Failover, RtmpViewersRejoinRtmpAfterIngestRestart) {
@@ -455,14 +468,15 @@ TEST(Failover, RtmpViewersRejoinRtmpAfterIngestRestart) {
   EXPECT_EQ(session.rtmp_rejoins(), cfg.rtmp_viewers);
   std::size_t back_on_rtmp = 0;
   for (const auto& v : session.viewer_results()) {
-    if (!v.hls) ++back_on_rtmp;
+    if (v.tier == cdn::DeliveryTier::kRtmp) ++back_on_rtmp;
     EXPECT_GT(v.units_played, 0u);
   }
   EXPECT_EQ(back_on_rtmp, cfg.rtmp_viewers);
   // The rejoined viewers keep receiving frames over RTMP afterwards: the
   // live playback schedule (the post-rejoin phase) saw fresh media.
+  const auto results = session.viewer_results();
   for (std::size_t i = 0; i < session.viewer_count(); ++i) {
-    if (session.viewer_is_hls(i)) continue;
+    if (results[i].tier != cdn::DeliveryTier::kRtmp) continue;
     EXPECT_GT(session.viewer_playback(i).media_offered(), 0u);
   }
 }
@@ -483,21 +497,33 @@ TEST(Failover, RejoinDefaultsOffSoMigratedViewersStayOnHls) {
   sim.run();
   session.finalize();
   EXPECT_EQ(session.rtmp_rejoins(), 0u);
-  for (const auto& v : session.viewer_results()) EXPECT_TRUE(v.hls);
+  for (const auto& v : session.viewer_results())
+    EXPECT_EQ(v.tier, cdn::DeliveryTier::kHls);
 }
 
 // --- 7. Regional experiment & service-level injection ----------------
 
+// The projection the capacity-spill parity contract compares: exactly
+// the fields both experiment types share, mixed identically on both
+// sides.
+util::Fingerprint fingerprint_common(const stats::Sampler& stall,
+                                     const stats::Sampler& latency,
+                                     const analysis::RegionalOutageCounters& c,
+                                     std::size_t dark_edges) {
+  return util::Fingerprint()
+      .mix(fingerprint(stall))
+      .mix(fingerprint(latency))
+      .mix(c.viewers)
+      .mix(c.affected)
+      .mix(c.failovers)
+      .mix(c.orphaned)
+      .mix(static_cast<std::uint64_t>(dark_edges));
+}
+
 std::uint64_t fingerprint(const analysis::RegionalOutageStats& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = mix(h, fingerprint(r.stall_ratio));
-  h = mix(h, fingerprint(r.failover_latency_s));
-  h = mix(h, r.counters.viewers);
-  h = mix(h, r.counters.affected);
-  h = mix(h, r.counters.failovers);
-  h = mix(h, r.counters.orphaned);
-  h = mix(h, static_cast<std::uint64_t>(r.dark_edges));
-  return h;
+  return fingerprint_common(r.stall_ratio, r.failover_latency_s, r.counters,
+                            r.dark_edges)
+      .value();
 }
 
 TEST(RegionalDeterminism, ByteIdenticalAtThreads128) {
@@ -554,18 +580,9 @@ TEST(NoFaultParity, EmptyScenarioInjectionIsBitIdenticalToCleanSession) {
     }
     sim.run();
     session.finalize();
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const auto& v : session.viewer_results()) {
-      h = mix(h, v.hls ? 1 : 0);
-      h = mix_double(h, v.stall_ratio);
-      h = mix_double(h, v.mean_buffering_s);
-      h = mix(h, v.units_played);
-      h = mix(h, v.units_discarded);
-    }
-    h = mix(h, session.faults_injected());
-    h = mix_double(h, session.hls_breakdown().buffering_s.mean());
-    h = mix_double(h, session.rtmp_breakdown().buffering_s.mean());
-    return h;
+    return test::session_fingerprint(session)
+        .mix(session.faults_injected())
+        .value();
   };
   EXPECT_EQ(run(false), run(true));
 }
@@ -615,35 +632,15 @@ TEST(ScenarioInjection, ServiceSharesOneOutageAcrossLiveBroadcasts) {
 
 // --- 8. Per-edge capacity & the spill policy --------------------------
 
-// The projection the parity contract compares: exactly the fields both
-// experiment types share, mixed identically on both sides.
-std::uint64_t fingerprint_common(const stats::Sampler& stall,
-                                 const stats::Sampler& latency,
-                                 const analysis::RegionalOutageCounters& c,
-                                 std::size_t dark_edges) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = mix(h, fingerprint(stall));
-  h = mix(h, fingerprint(latency));
-  h = mix(h, c.viewers);
-  h = mix(h, c.affected);
-  h = mix(h, c.failovers);
-  h = mix(h, c.orphaned);
-  h = mix(h, static_cast<std::uint64_t>(dark_edges));
-  return h;
-}
-
 std::uint64_t fingerprint(const analysis::CapacitySpillStats& r) {
-  std::uint64_t h = fingerprint_common(r.stall_ratio, r.failover_latency_s,
-                                       r.counters, r.dark_edges);
-  h = mix(h, r.edge_spills);
-  h = mix(h, r.capacity_orphans);
-  h = mix(h, r.spill_overshoot_km.count());
-  h = mix_double(h, r.spill_overshoot_km.sum());
-  for (const auto& [site, peak] : r.edge_peak_loads) {
-    h = mix(h, site);
-    h = mix(h, peak);
-  }
-  return h;
+  util::Fingerprint h = fingerprint_common(
+      r.stall_ratio, r.failover_latency_s, r.counters, r.dark_edges);
+  h.mix(r.edge_spills)
+      .mix(r.capacity_orphans)
+      .mix(r.spill_overshoot_km.count())
+      .mix_double(r.spill_overshoot_km.sum());
+  for (const auto& [site, peak] : r.edge_peak_loads) h.mix(site).mix(peak);
+  return h.value();
 }
 
 // The PR 3 parity contract: edge_capacity == 0 must reproduce the
@@ -660,10 +657,10 @@ TEST(CapacitySpill, InfiniteCapacityReproducesRegionalExperimentBitForBit) {
         analysis::regional_resilience_experiment(traces, catalog, ccfg.base);
     const auto cap =
         analysis::capacity_spill_experiment(traces, catalog, ccfg);
-    EXPECT_EQ(fingerprint_common(reg.stall_ratio, reg.failover_latency_s,
-                                 reg.counters, reg.dark_edges),
+    EXPECT_EQ(fingerprint(reg),
               fingerprint_common(cap.stall_ratio, cap.failover_latency_s,
-                                 cap.counters, cap.dark_edges))
+                                 cap.counters, cap.dark_edges)
+                  .value())
         << "parity broke at radius " << radius;
     EXPECT_EQ(cap.edge_spills, 0u);
     EXPECT_EQ(cap.capacity_orphans, 0u);

@@ -20,16 +20,14 @@ class ServiceCrawlerFixture : public ::testing::Test {
   // A stream of broadcasts over `horizon`, each with a few viewers and
   // some hearts.
   void drive_service(DurationUs horizon, double per_minute = 6.0) {
-    auto rng = std::make_shared<Rng>(72);
-    auto arrive = std::make_shared<std::function<void()>>();
-    *arrive = [this, horizon, per_minute, rng, arrive] {
+    arrive_ = [this, horizon, per_minute] {
       if (sim_.now() >= horizon) return;
       geo::UserGeoSampler geo_sampler;
       const auto id = service_.start_broadcast(
-          geo_sampler.sample(*rng),
-          time::from_seconds(40.0 + rng->uniform() * 80.0));
+          geo_sampler.sample(arrival_rng_),
+          time::from_seconds(40.0 + arrival_rng_.uniform() * 80.0));
       for (int v = 0; v < 4; ++v) {
-        if (auto h = service_.join(id, geo_sampler.sample(*rng))) {
+        if (auto h = service_.join(id, geo_sampler.sample(arrival_rng_))) {
           const auto handle = *h;
           sim_.schedule_in(25 * time::kSecond, [this, handle] {
             service_.send_heart(handle);
@@ -37,14 +35,19 @@ class ServiceCrawlerFixture : public ::testing::Test {
         }
       }
       sim_.schedule_in(
-          time::from_seconds(rng->exponential(60.0 / per_minute)), *arrive);
+          time::from_seconds(arrival_rng_.exponential(60.0 / per_minute)),
+          [this] { arrive_(); });
     };
-    sim_.schedule_in(0, *arrive);
+    sim_.schedule_in(0, [this] { arrive_(); });
   }
 
   sim::Simulator sim_;
   geo::DatacenterCatalog catalog_;
   core::LivestreamService service_;
+  // The arrival process re-schedules itself through this member, not
+  // through a closure that owns a pointer to itself (a leaked cycle).
+  Rng arrival_rng_{72};
+  std::function<void()> arrive_;
 };
 
 TEST_F(ServiceCrawlerFixture, CapturesEveryBroadcastWithAccurateMetadata) {

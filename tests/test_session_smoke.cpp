@@ -52,7 +52,7 @@ TEST(BroadcastSessionSmoke, Figure11Shape) {
 
   // Viewers actually played content.
   for (const auto& v : session.viewer_results()) {
-    EXPECT_GT(v.units_played, 0u) << (v.hls ? "HLS" : "RTMP");
+    EXPECT_GT(v.units_played, 0u) << cdn::tier_name(v.tier);
     EXPECT_LT(v.stall_ratio, 0.5);
   }
 }

@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "livesim/stats/csv.h"
+#include "livesim/util/fingerprint.h"
 #include "livesim/util/ids.h"
 #include "livesim/util/time.h"
 
@@ -30,6 +31,24 @@ TEST(Time, DayIndex) {
   EXPECT_EQ(time::day_index(time::kDay - 1), 0);
   EXPECT_EQ(time::day_index(time::kDay), 1);
   EXPECT_EQ(time::day_index(10 * time::kDay + 5), 10);
+}
+
+TEST(Fingerprint, IsWordWiseFnv1a) {
+  // The offset basis and prime every pinned hash was captured with:
+  // h = (h ^ word) * prime per 64-bit word, doubles by bit pattern.
+  constexpr std::uint64_t kBasis = 0xcbf29ce484222325ULL;
+  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  EXPECT_EQ(util::Fingerprint().value(), kBasis);
+  const std::uint64_t one = (kBasis ^ 7u) * kPrime;
+  const std::uint64_t two = (one ^ 0x3ff0000000000000ULL) * kPrime;
+  EXPECT_EQ(util::Fingerprint().mix(7).value(), one);
+  EXPECT_EQ(util::Fingerprint().mix(7).mix_double(1.0).value(), two);
+  const double xs[] = {1.0, 2.5};
+  EXPECT_EQ(util::Fingerprint().mix_doubles(xs).value(),
+            util::Fingerprint().mix_double(1.0).mix_double(2.5).value());
+  // Order-sensitive.
+  EXPECT_NE(util::Fingerprint().mix(1).mix(2).value(),
+            util::Fingerprint().mix(2).mix(1).value());
 }
 
 TEST(Ids, DefaultIsInvalid) {
