@@ -1,12 +1,16 @@
 // Control plane: proactive drain detection vs reactive spill.
 //
+// control_steering_experiment and capacity_spill_experiment call one
+// four-phase driver over one per-viewer draw and poll walk; steering
+// only clamps each affected viewer's decision instant before the serial
+// admission pass.
+//
 // Part 1 certifies the OFF-parity contract: with the control plane
-// disabled, control_steering_experiment runs the identical shared
-// 4-phase driver and must reproduce capacity_spill_experiment bit for
-// bit (same samples, same order, same spill ledgers) — and at
-// edge_capacity == 0 that experiment in turn reproduces the
-// single-nearest-edge regional experiment. CI greps the
-// "identical: yes" lines.
+// disabled there is no clamp, and the steering experiment must
+// reproduce capacity_spill_experiment bit for bit (same samples, same
+// order, same spill ledgers) — and at edge_capacity == 0 that
+// experiment in turn reproduces the single-pass regional experiment.
+// CI greps the "identical: yes" lines.
 //
 // Part 2 sweeps the same capacity x outage-radius blackout grid as
 // bench_resilience_capacity_spill with the scrape/steer model ON, and
@@ -17,7 +21,7 @@
 //
 // Part 3 certifies determinism: threads {1, 2, 8} fingerprint
 // identically with steering enabled (the steer clamp is serial
-// arithmetic between phase A and phase B; no RNG is touched).
+// arithmetic ahead of the admission pass; no RNG is touched).
 //
 // Part 4 is an event-level session demo on the engine: the monitor
 // scrapes a dying PoP, publishes the death after steer_latency, and the

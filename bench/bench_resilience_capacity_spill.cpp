@@ -1,15 +1,23 @@
 // Load-aware re-anycast: per-edge capacity and the spill policy.
 //
+// The capacity-spill experiment runs the same per-viewer draw and poll
+// walk as the regional experiment, under a four-phase driver (parallel
+// draw-and-walk to the decision, serial admission, parallel re-walk,
+// serial emission) that it shares with the control-steering experiment.
+//
 // Part 1 certifies the PARITY contract: with edge_capacity == 0 the
-// capacity-spill experiment must reproduce PR 3's single-nearest-edge
-// regional experiment bit for bit — same stall samples in the same
-// order, same failover latencies, same counters — at several radii.
-// scripts/check_resilience.sh greps the "identical: yes" lines.
+// driver must reproduce the single-pass regional experiment bit for bit
+// — same stall samples in the same order, same failover latencies, same
+// counters — at several radii. scripts/check_resilience.sh greps the
+// "identical: yes" lines.
 //
 // Part 2 sweeps capacity x outage radius: as capacity tightens, failed-
 // over viewers overflow past full PoPs (spills), travel farther
 // (overshoot km), and — once every live candidate is full — orphan for
-// capacity reasons rather than blackout reasons.
+// capacity reasons rather than blackout reasons. The table prints the
+// stall median and no failover-latency column: the replay charges every
+// admitted refugee the same cold-cache pull wherever it lands, so
+// capacity decides who orphans, not how long a failover takes.
 //
 // Part 3 certifies determinism with a FINITE capacity: the serial
 // admission pass makes the ring-by-ring pile-up sequence independent of
@@ -92,7 +100,7 @@ int main(int argc, char** argv) {
   const auto traces = analysis::generate_traces(trace_cfg);
   const auto catalog = geo::DatacenterCatalog::paper_footprint();
 
-  // --- Part 1: infinite capacity == PR 3 regional, bit for bit --------
+  // --- Part 1: infinite capacity == the regional replay, bit for bit -
   stats::print_banner(
       "Parity: edge_capacity=0 reproduces the single-nearest-edge "
       "regional experiment");

@@ -2,8 +2,11 @@
 //
 // Part 1 sweeps the blackout radius of a regional outage over the §4.3
 // crawled traces (analysis/resilience.h): as the radius grows, more edge
-// PoPs go dark together, the affected-viewer fraction and stall ratio
-// rise, and failover latency grows as survivors re-anycast ever farther.
+// PoPs go dark together and the affected-viewer fraction rises. Failover
+// latency stays flat: the replay charges every refugee the same
+// cold-cache W2F pull wherever it lands, so distance does not enter it.
+// This single-pass replay is the reference the capacity-spill driver is
+// held to (bench_resilience_capacity_spill, part 1).
 // The zero-radius row is the contract scripts/check_resilience.sh greps
 // for: a single-PoP death must re-anycast 100% of its viewers (failovers
 // == affected) with zero orphans.
@@ -111,10 +114,10 @@ int main(int argc, char** argv) {
     }
   }
   sweep.print();
-  std::printf("\nShape: a wider blackout darkens more PoPs, touches more "
-              "viewers, and pushes survivors onto farther edges (higher "
-              "failover latency); orphans appear only when the whole "
-              "footprint is dark.\n");
+  std::printf("\nShape: a wider blackout darkens more PoPs and touches "
+              "more viewers; failover latency stays flat because every "
+              "refugee pays the same cold-cache pull wherever it lands; "
+              "orphans appear only when the whole footprint is dark.\n");
 
   // --- Part 2: thread-count determinism -------------------------------
   stats::print_banner("Determinism: same seed, threads {1, 2, 8}");

@@ -45,11 +45,12 @@ TSAN_OPTIONS="halt_on_error=1:abort_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \
   "$BUILD"/tests/livesim_engine_alloc_tests \
   || fail "data race or test failure in the engine allocation-contract suite"
 
-# The resilience experiments (randomized sweep AND the regional-outage
-# sweep) shard fault-injected broadcasts over the same pool; their
-# determinism tests double as a race detector for the fault path.
+# The resilience experiments (randomized sweep, the regional-outage
+# sweep and the capacity-spill driver's parallel phases) shard
+# fault-injected broadcasts over the same pool; their determinism tests
+# double as a race detector for the fault path.
 TSAN_OPTIONS="halt_on_error=1:abort_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \
-  "$BUILD"/tests/livesim_resilience_tests --gtest_filter='ResilienceDeterminism*:NoFaultParity*:RegionalDeterminism*:ScenarioExpansion*:CrowdDeterminism*' \
+  "$BUILD"/tests/livesim_resilience_tests --gtest_filter='ResilienceDeterminism*:NoFaultParity*:RegionalDeterminism*:ScenarioExpansion*:CrowdDeterminism*:CapacitySpill*' \
   || fail "data race or test failure in the resilience determinism suites"
 
 # The poll-wheel battery: cohort churn against the slot arena, plus the

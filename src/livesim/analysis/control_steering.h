@@ -1,23 +1,24 @@
 // Control-steering experiment: reactive spill vs proactive drain.
 //
-// The capacity-spill experiment (PR 4) models the platform the paper
-// measured: a dead edge is discovered one viewer at a time, each paying
-// a failed poll plus the full detect window. This experiment replays the
-// identical workload (same traces, same blackout, same RNG draws) with
-// the control plane's scrape/steer model layered on top: the
-// HealthMonitor's first scrape tick strictly after the outage sees the
-// dark edges, and steer_latency later the anycast-map override is
-// routing-visible — from that instant an affected viewer's next poll
-// re-anycasts immediately instead of burning its detect window.
+// The capacity-spill experiment models the platform the paper measured:
+// a dead edge is discovered one viewer at a time, each paying a failed
+// poll plus the full detect window. This experiment runs the same
+// four-phase spill driver over the identical workload (same traces, same
+// blackout, same draws) with the control plane's scrape/steer model
+// layered on top: the HealthMonitor's first scrape tick strictly after
+// the outage sees the dark edges, and steer_latency later the
+// anycast-map override is routing-visible — from that instant an
+// affected viewer's next poll re-anycasts immediately instead of burning
+// its detect window.
 //
 // The proactive decision instant is clamped to [first dark poll, first
 // dark poll + detect_timeout]: the client timeout stays as the fallback,
 // so proactive detection can never be slower than reactive — the
 // dominance contract bench_control_steering pins per grid cell.
 //
-// With control.enabled == false the experiment IS
-// capacity_spill_experiment: same driver, no clamp, no extra RNG — the
-// spill stats and both fingerprints reproduce PR 4 byte for byte.
+// With control.enabled == false there is no clamp and the experiment's
+// spill stats equal capacity_spill_experiment's bit for bit.
+// Defined in resilience.cpp, beside the driver.
 #ifndef LIVESIM_ANALYSIS_CONTROL_STEERING_H
 #define LIVESIM_ANALYSIS_CONTROL_STEERING_H
 
@@ -62,8 +63,8 @@ struct ControlSteeringStats {
   std::uint64_t steered_early = 0;
 };
 
-/// Replays each trace through the capacity-spill workload, with the
-/// control plane's scrape/steer detection model layered on when
+/// Runs the capacity-spill workload over each trace, with the control
+/// plane's scrape/steer detection model layered on when
 /// config.control.enabled. Deterministic in (spill.base.seed) at every
 /// thread count.
 ControlSteeringStats control_steering_experiment(

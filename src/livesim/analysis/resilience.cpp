@@ -4,10 +4,10 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <optional>
 #include <unordered_map>
-#include <utility>
 
-#include "livesim/analysis/spill_detail.h"
+#include "livesim/analysis/control_steering.h"
 #include "livesim/fault/backoff.h"
 #include "livesim/sim/parallel.h"
 
@@ -15,11 +15,9 @@ namespace livesim::analysis {
 
 namespace {
 
-// Same last-mile constants as the §6 buffering experiments. The HLS
-// download constant lives in spill_detail.h, shared with the steering
-// driver.
+// Same last-mile constants as the §6 buffering experiments.
 constexpr DurationUs kRtmpLastMile = 80 * time::kMillisecond;
-constexpr DurationUs kHlsDownload = detail::kHlsDownload;
+constexpr DurationUs kHlsDownload = 150 * time::kMillisecond;
 
 // Salt for the fault-script substream: broadcast i's fault schedule and
 // its viewer jitter come from unrelated streams, so adding a draw to one
@@ -39,17 +37,32 @@ TimeUs past_windows(const std::vector<fault::FaultEvent>& events, TimeUs t) {
   return t;
 }
 
+DurationUs total_media(const BroadcastTrace& trace) {
+  return static_cast<DurationUs>(trace.frame_arrivals.size()) *
+         trace.frame_interval;
+}
+
+// Stalled plus never-delivered media over the broadcast's total media, so
+// a viewer who gave up or froze scores the missing tail too.
+double stall_score(const client::AdaptivePlayback& playback,
+                   DurationUs media_len) {
+  const DurationUs offered = std::min(playback.media_offered(), media_len);
+  const double offered_stall =
+      playback.stall_ratio() * static_cast<double>(playback.media_offered());
+  const double missing = static_cast<double>(media_len - offered);
+  return std::min(1.0,
+                  (offered_stall + missing) / static_cast<double>(media_len));
+}
+
 void simulate_viewer(const BroadcastTrace& trace, const ResilienceConfig& cfg,
                      std::size_t index, ResilienceStats& out) {
   Rng rng(sim::substream_seed(cfg.seed, index));
 
-  const DurationUs total_media =
-      static_cast<DurationUs>(trace.frame_arrivals.size()) *
-      trace.frame_interval;
-  if (total_media <= 0) return;
+  const DurationUs media_len = total_media(trace);
+  if (media_len <= 0) return;
 
   fault::RandomFaultParams fparams = cfg.faults;
-  if (fparams.horizon == 0) fparams.horizon = total_media;
+  if (fparams.horizon == 0) fparams.horizon = media_len;
   const auto faults = fault::FaultSchedule::randomized(
       fparams, sim::substream_seed(cfg.seed ^ kFaultSeedSalt, index));
 
@@ -89,8 +102,6 @@ void simulate_viewer(const BroadcastTrace& trace, const ResilienceConfig& cfg,
     if (media_offset + trace.frame_interval > delivered_media)
       delivered_media = media_offset + trace.frame_interval;
   }
-
-  bool gave_up = false;
 
   if (crashed) {
     // Chunk availability at the (cold) edge: sealed at the ingest --
@@ -133,7 +144,6 @@ void simulate_viewer(const BroadcastTrace& trace, const ResilienceConfig& cfg,
       }
       const auto next = retry.on_failure(attempt + cfg.poll_timeout, rng);
       if (!next) {
-        gave_up = true;
         out.counters.unrecoverable += 1;
         break;
       }
@@ -152,7 +162,6 @@ void simulate_viewer(const BroadcastTrace& trace, const ResilienceConfig& cfg,
         if (!first_poll && in_window(degrades, poll_t)) {
           const auto next = retry.on_failure(poll_t + cfg.poll_timeout, rng);
           if (!next) {
-            gave_up = true;
             out.counters.unrecoverable += 1;
             break;
           }
@@ -196,110 +205,117 @@ void simulate_viewer(const BroadcastTrace& trace, const ResilienceConfig& cfg,
     }
   }
 
-  // --- Score ---------------------------------------------------------
-  const DurationUs offered =
-      std::min(playback.media_offered(), total_media);
-  const double offered_stall =
-      playback.stall_ratio() * static_cast<double>(playback.media_offered());
-  const double missing = static_cast<double>(total_media - offered);
-  out.stall_ratio.add(
-      std::min(1.0, (offered_stall + missing) / static_cast<double>(total_media)));
+  out.stall_ratio.add(stall_score(playback, media_len));
   out.rebuffer_count.add(static_cast<double>(playback.rebuffer_events()));
-  (void)gave_up;
 }
 
-}  // namespace
+// --- Regional-outage replays ------------------------------------------
 
-namespace {
+// The blackout's dark edge sites, computed once per run from (catalog,
+// center, radius) and sorted so membership tests are binary searches.
+std::vector<DatacenterId> dark_edges(const geo::DatacenterCatalog& catalog,
+                                     const RegionalOutageConfig& cfg) {
+  fault::RegionalBlackoutSpec spec;
+  spec.at = cfg.outage_at;
+  spec.duration = cfg.outage_duration;
+  spec.center = cfg.center;
+  spec.radius_km = cfg.radius_km;
+  std::vector<DatacenterId> dark =
+      fault::FaultScenario::blackout_sites(catalog, spec);
+  std::sort(dark.begin(), dark.end());
+  return dark;
+}
 
-// One HLS viewer under a regional blackout. `dark` is the shared outage
-// membership (sorted edge-site ids); all randomness comes from `rng`, the
-// caller's per-trace substream.
-void simulate_regional_viewer(const BroadcastTrace& trace,
-                              const geo::DatacenterCatalog& catalog,
-                              const RegionalOutageConfig& cfg,
-                              const std::vector<std::uint64_t>& dark,
-                              geo::UserGeoSampler& sampler, Rng& rng,
-                              RegionalOutageStats& out) {
-  const DurationUs total_media =
-      static_cast<DurationUs>(trace.frame_arrivals.size()) *
-      trace.frame_interval;
-  if (total_media <= 0) return;
-  out.counters.viewers += 1;
+// One HLS viewer of the outage replays. draw_viewer fills the draws, the
+// spill driver the decision fields, walk_viewer the results.
+struct OutageViewer {
+  std::vector<TimeUs> avail;  // per chunk: sealed at the ingest + W2F pull
+  geo::GeoPoint loc{};
+  DatacenterId home{};         // load-blind anycast attachment
+  TimeUs poll0 = 0;            // poll phase
+  TimeUs first_dark_poll = 0;  // first poll lost to the dark PoP
+  TimeUs decision_t = 0;       // instant the re-anycast decision lands
+  double stall = 0.0;
+  double latency_s = 0.0;  // edge death -> first chunk via the new edge
+  bool has_media = false;  // the trace has media, so the viewer exists
+  bool dark_member = false;
+  bool affected = false;  // a poll was lost to the dark PoP
+  bool orphaned = false;  // no edge admitted the viewer
+  bool has_latency = false;
+};
 
-  const geo::GeoPoint loc = sampler.sample(rng);
-  std::uint64_t attachment =
-      catalog.nearest(loc, geo::CdnRole::kEdge).id.value;
-  const bool dark_member =
-      std::binary_search(dark.begin(), dark.end(), attachment);
-
-  // Chunk availability at the viewer's edge: sealed at the ingest plus a
-  // jittered W2F pull (drawn per chunk so substreams stay per-viewer).
+// Draws one viewer from its trace's substream, in a fixed order:
+// location, one jittered W2F pull per chunk, then the poll phase
+// (unsynchronized with chunk seals, §5.2). Reuses v.avail's storage.
+void draw_viewer(const BroadcastTrace& trace,
+                 const geo::DatacenterCatalog& catalog,
+                 const RegionalOutageConfig& cfg,
+                 const std::vector<DatacenterId>& dark,
+                 const geo::UserGeoSampler& sampler, Rng& rng,
+                 OutageViewer& v) {
+  v.has_media = true;
+  v.loc = sampler.sample(rng);
+  v.home = catalog.nearest(v.loc, geo::CdnRole::kEdge).id;
+  v.dark_member = std::binary_search(dark.begin(), dark.end(), v.home);
   const std::size_t n_chunks = trace.chunks.size();
-  std::vector<TimeUs> avail(n_chunks);
+  v.avail.resize(n_chunks);
   for (std::size_t j = 0; j < n_chunks; ++j) {
     const auto w2f = static_cast<DurationUs>(
         static_cast<double>(cfg.w2f_offset) *
         (1.0 + 0.35 * std::abs(rng.normal(0.0, 1.0))));
-    avail[j] = trace.chunks[j].completed_at_ingest + w2f;
+    v.avail[j] = trace.chunks[j].completed_at_ingest + w2f;
   }
+  v.poll0 = static_cast<TimeUs>(rng.uniform() *
+                                static_cast<double>(cfg.poll_interval));
+}
 
+// The RNG-free poll walk of one drawn viewer. At the first poll lost to
+// the dark PoP it asks `decide(poll_t)` when the re-anycast lands: a time
+// resumes polling there through the new edge's cold cache, nullopt
+// freezes playback and the missing tail scores as stall. Every refugee
+// pays the same cold-cache pull wherever it lands. Fills v.stall and the
+// failover latency.
+template <typename Decide>
+void walk_viewer(const BroadcastTrace& trace, const RegionalOutageConfig& cfg,
+                 OutageViewer& v, Decide&& decide) {
+  const std::size_t n_chunks = trace.chunks.size();
   client::AdaptivePlayback playback(cfg.playback);
   const TimeUs outage_end = cfg.outage_at + cfg.outage_duration;
   const TimeUs wall_horizon =
-      (n_chunks ? avail[n_chunks - 1] : 0) + 8 * cfg.poll_interval +
+      (n_chunks ? v.avail[n_chunks - 1] : 0) + 8 * cfg.poll_interval +
       cfg.outage_duration;
 
-  // Random poll phase: unsynchronized with chunk seals (§5.2).
-  TimeUs poll_t = static_cast<TimeUs>(
-      rng.uniform() * static_cast<double>(cfg.poll_interval));
+  TimeUs poll_t = v.poll0;
   std::size_t cursor = 0;
   bool migrated = false;
   bool awaiting_first = false;  // failover done, first chunk not yet seen
   DurationUs cold_penalty = 0;  // new edge's cache is empty
+  v.has_latency = false;
 
   while (cursor < n_chunks && poll_t <= wall_horizon) {
-    if (!migrated && dark_member && poll_t >= cfg.outage_at &&
+    if (!migrated && v.dark_member && poll_t >= cfg.outage_at &&
         poll_t < outage_end) {
-      // The poll vanished into a dead PoP. After the detect window the
-      // client re-anycasts to the nearest edge outside the dark set.
-      out.counters.affected += 1;
-      const geo::Datacenter* live = nullptr;
-      double best_km = std::numeric_limits<double>::infinity();
-      for (const auto& dc : catalog.all()) {
-        if (dc.role != geo::CdnRole::kEdge) continue;
-        if (std::binary_search(dark.begin(), dark.end(), dc.id.value))
-          continue;
-        const double km = geo::haversine_km(loc, dc.location);
-        if (km < best_km) {
-          best_km = km;
-          live = &dc;
-        }
-      }
-      if (live == nullptr) {
-        out.counters.orphaned += 1;
-        break;  // playback froze; the missing tail scores as stall below
-      }
-      out.counters.failovers += 1;
+      const std::optional<TimeUs> resume = decide(poll_t);
+      if (!resume) break;
       migrated = true;
       awaiting_first = true;
-      attachment = live->id.value;
       cold_penalty = cfg.w2f_offset;  // first fetch re-pulls the origin
-      poll_t += cfg.detect_timeout;   // client polls right after re-anycast
+      poll_t = *resume;
       continue;
     }
 
-    if (avail[cursor] <= poll_t) {
+    if (v.avail[cursor] <= poll_t) {
       const TimeUs recv = poll_t + cold_penalty + kHlsDownload;
       cold_penalty = 0;
       if (awaiting_first) {
         // Edge death -> first chunk via the new edge: detection, the
         // re-anycast, the cold origin pull, and the re-anchored download
         // (the second pipeline flush) are all inside this number.
-        out.failover_latency_s.add(time::to_seconds(recv - cfg.outage_at));
+        v.latency_s = time::to_seconds(recv - cfg.outage_at);
+        v.has_latency = true;
         awaiting_first = false;
       }
-      while (cursor < n_chunks && avail[cursor] <= poll_t) {
+      while (cursor < n_chunks && v.avail[cursor] <= poll_t) {
         const auto& c = trace.chunks[cursor];
         playback.on_arrival(recv, c.media_start, c.duration);
         ++cursor;
@@ -307,240 +323,88 @@ void simulate_regional_viewer(const BroadcastTrace& trace,
     }
     poll_t += cfg.poll_interval;
   }
-
-  // Score exactly like resilience_experiment: stalls on offered media
-  // plus everything that never arrived, over the broadcast's total media.
-  const DurationUs offered = std::min(playback.media_offered(), total_media);
-  const double offered_stall =
-      playback.stall_ratio() * static_cast<double>(playback.media_offered());
-  const double missing = static_cast<double>(total_media - offered);
-  out.stall_ratio.add(std::min(
-      1.0, (offered_stall + missing) / static_cast<double>(total_media)));
+  v.stall = stall_score(playback, total_media(trace));
 }
 
-}  // namespace
-
-RegionalOutageStats regional_resilience_experiment(
-    const std::vector<BroadcastTrace>& traces,
-    const geo::DatacenterCatalog& catalog,
-    const RegionalOutageConfig& config) {
-  // The dark set is shared state: one blackout, computed once, sorted so
-  // membership tests are deterministic binary searches.
-  fault::RegionalBlackoutSpec spec;
-  spec.at = config.outage_at;
-  spec.duration = config.outage_duration;
-  spec.center = config.center;
-  spec.radius_km = config.radius_km;
-  std::vector<std::uint64_t> dark;
-  for (DatacenterId site : fault::FaultScenario::blackout_sites(catalog, spec))
-    dark.push_back(site.value);
-  std::sort(dark.begin(), dark.end());
-
-  const auto ranges = sim::shard_ranges(
-      traces.size(), sim::resolve_threads(config.threads));
-  std::vector<RegionalOutageStats> parts(ranges.size());
-  sim::parallel_for_shards(
-      traces.size(), config.threads,
-      [&](std::size_t shard, std::size_t begin, std::size_t end) {
-        geo::UserGeoSampler sampler;
-        for (std::size_t i = begin; i < end; ++i) {
-          // One substream per trace: every viewer of broadcast i draws
-          // from it in a fixed order, so shard boundaries are invisible.
-          Rng rng(sim::substream_seed(config.seed, i));
-          for (std::uint32_t v = 0; v < config.viewers_per_broadcast; ++v)
-            simulate_regional_viewer(traces[i], catalog, config, dark,
-                                     sampler, rng, parts[shard]);
-        }
-      });
-
-  RegionalOutageStats out;
-  out.dark_edges = dark.size();
-  for (const auto& p : parts) {
-    out.stall_ratio.merge(p.stall_ratio);
-    out.failover_latency_s.merge(p.failover_latency_s);
-    out.counters.merge(p.counters);
-  }
-  return out;
-}
-
-namespace detail {
-
-// The poll walk of simulate_regional_viewer, replayed from stored draws.
-// In probe mode (resolved == false) it stops at the re-anycast decision
-// point, records first_dark_poll and the reactive decision_t, and
-// returns true; a viewer that never hits the decision completes and
-// scores. In resolve mode the admission outcome in `plan` is applied:
-// orphaned -> break (the missing tail scores as stall), admitted ->
-// migrate at plan.decision_t with the cold-cache penalty. Every
-// arithmetic step matches simulate_regional_viewer exactly — the
-// infinite-capacity parity contract depends on it.
-bool walk_spill_viewer(const BroadcastTrace& trace,
-                       const RegionalOutageConfig& cfg, bool resolved,
-                       SpillPlan& plan) {
-  const DurationUs total_media =
-      static_cast<DurationUs>(trace.frame_arrivals.size()) *
-      trace.frame_interval;
-  const std::size_t n_chunks = trace.chunks.size();
-
-  client::AdaptivePlayback playback(cfg.playback);
-  const TimeUs outage_end = cfg.outage_at + cfg.outage_duration;
-  const TimeUs wall_horizon =
-      (n_chunks ? plan.avail[n_chunks - 1] : 0) + 8 * cfg.poll_interval +
-      cfg.outage_duration;
-
-  TimeUs poll_t = plan.poll0;
-  std::size_t cursor = 0;
-  bool migrated = false;
-  bool awaiting_first = false;
-  DurationUs cold_penalty = 0;
-  bool hit = false;
-
-  while (cursor < n_chunks && poll_t <= wall_horizon) {
-    if (!migrated && plan.dark_member && poll_t >= cfg.outage_at &&
-        poll_t < outage_end) {
-      hit = true;
-      if (!resolved) {
-        plan.first_dark_poll = poll_t;
-        plan.decision_t = poll_t + cfg.detect_timeout;
-        return true;  // probe: the admission outcome is not known yet
-      }
-      if (plan.orphaned) break;
-      migrated = true;
-      awaiting_first = true;
-      cold_penalty = cfg.w2f_offset;
-      // Reactive: decision_t == first_dark_poll + detect_timeout, so
-      // this is the original `poll_t += detect_timeout`. Proactive
-      // steering may have clamped decision_t earlier (the published
-      // anycast override beat the client's own timeout).
-      poll_t = plan.decision_t;
-      continue;
-    }
-
-    if (plan.avail[cursor] <= poll_t) {
-      const TimeUs recv = poll_t + cold_penalty + kHlsDownload;
-      cold_penalty = 0;
-      if (awaiting_first) {
-        plan.latency_s = time::to_seconds(recv - cfg.outage_at);
-        plan.has_latency = true;
-        awaiting_first = false;
-      }
-      while (cursor < n_chunks && plan.avail[cursor] <= poll_t) {
-        const auto& c = trace.chunks[cursor];
-        playback.on_arrival(recv, c.media_start, c.duration);
-        ++cursor;
-      }
-    }
-    poll_t += cfg.poll_interval;
-  }
-
-  const DurationUs offered = std::min(playback.media_offered(), total_media);
-  const double offered_stall =
-      playback.stall_ratio() * static_cast<double>(playback.media_offered());
-  const double missing = static_cast<double>(total_media - offered);
-  plan.stall = std::min(
-      1.0, (offered_stall + missing) / static_cast<double>(total_media));
-  return hit;
-}
-
+// The capacity-spill driver behind capacity_spill_experiment and
+// control_steering_experiment. A shared load ledger would make
+// per-viewer parallelism racy, so it runs in four phases:
+//   A (parallel) draw each viewer and walk it; an affected viewer stops
+//     at its first dark poll, which fixes its reactive decision instant;
+//   B (serial)   clamp each decision to `steer_at` when set, then admit
+//     affected viewers in (decision time, trace, viewer) order;
+//   C (parallel) re-walk each affected viewer with its admission outcome
+//     (the walk draws no RNG, so the re-walk is pure);
+//   D (serial)   emit samples in canonical (trace, viewer) order, handing
+//     each affected viewer to `on_affected`.
+// The result is byte-identical at every thread count.
+template <typename OnAffected>
 CapacitySpillStats run_capacity_spill(
     const std::vector<BroadcastTrace>& traces,
     const geo::DatacenterCatalog& catalog, const CapacitySpillConfig& config,
-    std::optional<TimeUs> steer_at, std::vector<SpillPlan>* plans_out) {
+    std::optional<TimeUs> steer_at, OnAffected&& on_affected) {
   const RegionalOutageConfig& base = config.base;
-
-  // The dark set, computed once from (catalog, center, radius) — shared
-  // by every viewer, sorted for deterministic membership tests.
-  fault::RegionalBlackoutSpec spec;
-  spec.at = base.outage_at;
-  spec.duration = base.outage_duration;
-  spec.center = base.center;
-  spec.radius_km = base.radius_km;
-  std::vector<DatacenterId> dark_ids =
-      fault::FaultScenario::blackout_sites(catalog, spec);
-  std::vector<std::uint64_t> dark;
-  for (DatacenterId site : dark_ids) dark.push_back(site.value);
-  std::sort(dark.begin(), dark.end());
-
+  const std::vector<DatacenterId> dark = dark_edges(catalog, base);
   const std::uint32_t V = base.viewers_per_broadcast;
-  std::vector<SpillPlan> plans(traces.size() * V);
+  std::vector<OutageViewer> viewers(traces.size() * V);
 
-  // --- Phase A (parallel): replay draws, pre-walk to the decision -----
-  // Draw order per viewer is EXACTLY simulate_regional_viewer's:
-  // location, n_chunks W2F pulls, poll phase. Traces own substreams, so
-  // shard boundaries are invisible.
+  // --- Phase A (parallel): draw, walk to the decision ------------------
   sim::parallel_for_shards(
       traces.size(), base.threads,
       [&](std::size_t, std::size_t begin, std::size_t end) {
         geo::UserGeoSampler sampler;
         for (std::size_t i = begin; i < end; ++i) {
-          const BroadcastTrace& trace = traces[i];
-          const DurationUs total_media =
-              static_cast<DurationUs>(trace.frame_arrivals.size()) *
-              trace.frame_interval;
-          if (total_media <= 0) continue;  // no draws, no viewers
+          if (total_media(traces[i]) <= 0) continue;  // no viewers
           Rng rng(sim::substream_seed(base.seed, i));
-          for (std::uint32_t v = 0; v < V; ++v) {
-            SpillPlan& plan = plans[i * V + v];
-            plan.has_media = true;
-            plan.loc = sampler.sample(rng);
-            plan.home = catalog.nearest(plan.loc, geo::CdnRole::kEdge).id.value;
-            plan.dark_member =
-                std::binary_search(dark.begin(), dark.end(), plan.home);
-            const std::size_t n_chunks = trace.chunks.size();
-            plan.avail.resize(n_chunks);
-            for (std::size_t j = 0; j < n_chunks; ++j) {
-              const auto w2f = static_cast<DurationUs>(
-                  static_cast<double>(base.w2f_offset) *
-                  (1.0 + 0.35 * std::abs(rng.normal(0.0, 1.0))));
-              plan.avail[j] = trace.chunks[j].completed_at_ingest + w2f;
-            }
-            plan.poll0 = static_cast<TimeUs>(
-                rng.uniform() * static_cast<double>(base.poll_interval));
-            plan.affected =
-                walk_spill_viewer(trace, base, /*resolved=*/false, plan);
+          for (std::uint32_t k = 0; k < V; ++k) {
+            OutageViewer& v = viewers[i * V + k];
+            draw_viewer(traces[i], catalog, base, dark, sampler, rng, v);
+            walk_viewer(traces[i], base, v, [&](TimeUs dark_poll) {
+              v.affected = true;
+              v.first_dark_poll = dark_poll;
+              v.decision_t = dark_poll + base.detect_timeout;
+              return std::optional<TimeUs>();  // resumed in phase C
+            });
           }
         }
       });
 
-  // --- Steering overlay (serial, RNG-free): clamp decision instants ---
+  // --- Phase B (serial): steering clamp, then admissions ---------------
   // A published anycast-map override lets an affected viewer's very next
   // poll land on a live edge instead of burning the full detect window.
   // The clamp keeps the client timeout as the worst case, so proactive
   // never loses to reactive.
   if (steer_at) {
-    for (SpillPlan& p : plans) {
-      if (!p.affected) continue;
-      p.decision_t =
-          std::clamp(*steer_at, p.first_dark_poll,
-                     p.first_dark_poll + base.detect_timeout);
-    }
+    for (OutageViewer& v : viewers)
+      if (v.affected)
+        v.decision_t = std::clamp(*steer_at, v.first_dark_poll,
+                                  v.first_dark_poll + base.detect_timeout);
   }
 
   CapacitySpillStats out;
   out.dark_edges = dark.size();
 
-  // --- Phase B (serial): admissions against the shared load ledger ----
   // Load-blind joins first: every viewer counts toward its home edge.
   std::unordered_map<std::uint64_t, std::uint64_t> load;
-  for (const SpillPlan& p : plans)
-    if (p.has_media) load[p.home] += 1;
+  for (const OutageViewer& v : viewers)
+    if (v.has_media) load[v.home.value] += 1;
   std::unordered_map<std::uint64_t, std::uint64_t> peak = load;
 
   // Affected viewers re-anycast in the order their decisions land;
   // (trace, viewer) breaks wall-clock ties, so the pile-up sequence is
   // deterministic and independent of thread count.
   std::vector<std::size_t> order;
-  for (std::size_t idx = 0; idx < plans.size(); ++idx)
-    if (plans[idx].affected) order.push_back(idx);
+  for (std::size_t idx = 0; idx < viewers.size(); ++idx)
+    if (viewers[idx].affected) order.push_back(idx);
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return plans[a].decision_t < plans[b].decision_t;
+                     return viewers[a].decision_t < viewers[b].decision_t;
                    });
 
   for (std::size_t idx : order) {
-    SpillPlan& p = plans[idx];
+    OutageViewer& v = viewers[idx];
     out.counters.affected += 1;
-    if (load[p.home] > 0) load[p.home] -= 1;  // left the dead PoP
+    if (load[v.home.value] > 0) load[v.home.value] -= 1;  // left the dead PoP
 
     // Candidates: the spill_k nearest live edges, ranked (distance, id).
     bool skipped_full = false;
@@ -548,8 +412,8 @@ CapacitySpillStats run_capacity_spill(
     const geo::Datacenter* chosen = nullptr;
     double chosen_km = 0.0;
     for (const geo::Datacenter* dc : catalog.k_nearest(
-             p.loc, geo::CdnRole::kEdge, config.spill_k, dark_ids)) {
-      const double km = geo::haversine_km(p.loc, dc->location);
+             v.loc, geo::CdnRole::kEdge, config.spill_k, dark)) {
+      const double km = geo::haversine_km(v.loc, dc->location);
       if (nearest_live_km < 0.0) nearest_live_km = km;
       if (config.edge_capacity != 0 &&
           load[dc->id.value] >= config.edge_capacity) {
@@ -562,7 +426,7 @@ CapacitySpillStats run_capacity_spill(
     }
 
     if (chosen == nullptr) {
-      p.orphaned = true;
+      v.orphaned = true;
       out.counters.orphaned += 1;
       if (skipped_full) out.capacity_orphans += 1;
     } else {
@@ -580,43 +444,35 @@ CapacitySpillStats run_capacity_spill(
   out.edge_peak_loads.assign(peak.begin(), peak.end());
   std::sort(out.edge_peak_loads.begin(), out.edge_peak_loads.end());
 
-  // --- Phase C (parallel): resume the affected walks -------------------
-  // No RNG is drawn after the decision point, so the replay is pure.
+  // --- Phase C (parallel): re-walk the affected viewers ----------------
   sim::parallel_for_shards(
       traces.size(), base.threads,
       [&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i)
-          for (std::uint32_t v = 0; v < V; ++v) {
-            SpillPlan& plan = plans[i * V + v];
-            if (plan.affected)
-              walk_spill_viewer(traces[i], base, /*resolved=*/true, plan);
+          for (std::uint32_t k = 0; k < V; ++k) {
+            OutageViewer& v = viewers[i * V + k];
+            if (!v.affected) continue;
+            walk_viewer(traces[i], base, v, [&](TimeUs) {
+              return v.orphaned ? std::optional<TimeUs>()
+                                : std::optional<TimeUs>(v.decision_t);
+            });
           }
       });
 
-  // --- Phase D (serial): emit samples in canonical order ---------------
-  // (trace, viewer) ascending == regional_resilience_experiment's merged
-  // shard order at every thread count, so the samplers fingerprint
-  // identically at infinite capacity.
-  for (const SpillPlan& p : plans) {
-    if (!p.has_media) continue;
+  // --- Phase D (serial): emit in canonical (trace, viewer) order -------
+  // The same order as regional_resilience_experiment's merged shards at
+  // every thread count, so infinite capacity reproduces its samplers.
+  for (const OutageViewer& v : viewers) {
+    if (!v.has_media) continue;
     out.counters.viewers += 1;
-    out.stall_ratio.add(p.stall);
-    if (p.has_latency) out.failover_latency_s.add(p.latency_s);
+    out.stall_ratio.add(v.stall);
+    if (v.has_latency) out.failover_latency_s.add(v.latency_s);
+    if (v.affected) on_affected(v);
   }
-  if (plans_out) *plans_out = std::move(plans);
   return out;
 }
 
-}  // namespace detail
-
-CapacitySpillStats capacity_spill_experiment(
-    const std::vector<BroadcastTrace>& traces,
-    const geo::DatacenterCatalog& catalog, const CapacitySpillConfig& config) {
-  // No steer time, no plan capture: the reactive PR 4 baseline, byte for
-  // byte.
-  return detail::run_capacity_spill(traces, catalog, config, std::nullopt,
-                                    nullptr);
-}
+}  // namespace
 
 ResilienceStats resilience_experiment(
     const std::vector<BroadcastTrace>& traces,
@@ -638,6 +494,103 @@ ResilienceStats resilience_experiment(
     out.failover_latency_s.merge(p.failover_latency_s);
     out.counters.merge(p.counters);
   }
+  return out;
+}
+
+RegionalOutageStats regional_resilience_experiment(
+    const std::vector<BroadcastTrace>& traces,
+    const geo::DatacenterCatalog& catalog,
+    const RegionalOutageConfig& config) {
+  const std::vector<DatacenterId> dark = dark_edges(catalog, config);
+  // With unbounded capacity a refugee is admitted by any live edge, so
+  // the decision only asks whether one is left.
+  const bool all_dark = dark.size() == catalog.edge_sites().size();
+
+  const auto ranges = sim::shard_ranges(
+      traces.size(), sim::resolve_threads(config.threads));
+  std::vector<RegionalOutageStats> parts(ranges.size());
+  sim::parallel_for_shards(
+      traces.size(), config.threads,
+      [&](std::size_t shard, std::size_t begin, std::size_t end) {
+        RegionalOutageStats& out = parts[shard];
+        geo::UserGeoSampler sampler;
+        OutageViewer v;
+        for (std::size_t i = begin; i < end; ++i) {
+          if (total_media(traces[i]) <= 0) continue;  // no viewers
+          // One substream per trace: every viewer of broadcast i draws
+          // from it in a fixed order, so shard boundaries are invisible.
+          Rng rng(sim::substream_seed(config.seed, i));
+          for (std::uint32_t k = 0; k < config.viewers_per_broadcast; ++k) {
+            draw_viewer(traces[i], catalog, config, dark, sampler, rng, v);
+            walk_viewer(traces[i], config, v,
+                        [&](TimeUs dark_poll) -> std::optional<TimeUs> {
+                          out.counters.affected += 1;
+                          if (all_dark) {
+                            out.counters.orphaned += 1;
+                            return std::nullopt;
+                          }
+                          out.counters.failovers += 1;
+                          return dark_poll + config.detect_timeout;
+                        });
+            out.counters.viewers += 1;
+            out.stall_ratio.add(v.stall);
+            if (v.has_latency) out.failover_latency_s.add(v.latency_s);
+          }
+        }
+      });
+
+  RegionalOutageStats out;
+  out.dark_edges = dark.size();
+  for (const auto& p : parts) {
+    out.stall_ratio.merge(p.stall_ratio);
+    out.failover_latency_s.merge(p.failover_latency_s);
+    out.counters.merge(p.counters);
+  }
+  return out;
+}
+
+CapacitySpillStats capacity_spill_experiment(
+    const std::vector<BroadcastTrace>& traces,
+    const geo::DatacenterCatalog& catalog, const CapacitySpillConfig& config) {
+  return run_capacity_spill(traces, catalog, config, std::nullopt,
+                            [](const OutageViewer&) {});
+}
+
+ControlSteeringStats control_steering_experiment(
+    const std::vector<BroadcastTrace>& traces,
+    const geo::DatacenterCatalog& catalog,
+    const ControlSteeringConfig& config) {
+  const RegionalOutageConfig& base = config.spill.base;
+  ControlSteeringStats out;
+
+  // The steer instant is pure scrape arithmetic — no engine needs to
+  // spin for it. The monitor's ticks land at k * scrape_interval; the
+  // first tick STRICTLY after the outage is the first scrape that can
+  // see the dark edges (a tick at the outage instant races the blackout;
+  // we conservatively let the blackout win). steer_latency later the
+  // override is routing-visible.
+  std::optional<TimeUs> steer_at;
+  if (config.control.enabled && config.control.scrape_interval > 0) {
+    const TimeUs tick =
+        (base.outage_at / config.control.scrape_interval + 1) *
+        config.control.scrape_interval;
+    out.steer_published_at = tick + config.control.steer_latency;
+    out.proactive = true;
+    steer_at = out.steer_published_at;
+  }
+
+  // Detection times per affected viewer, canonical order. The reactive
+  // instant is rebuilt from the first dark poll, so one run yields both
+  // distributions over the same viewers.
+  out.spill = run_capacity_spill(
+      traces, catalog, config.spill, steer_at, [&](const OutageViewer& v) {
+        const TimeUs reactive_t = v.first_dark_poll + base.detect_timeout;
+        out.reactive_detect_s.add(
+            time::to_seconds(reactive_t - base.outage_at));
+        out.proactive_detect_s.add(
+            time::to_seconds(v.decision_t - base.outage_at));
+        if (v.decision_t < reactive_t) ++out.steered_early;
+      });
   return out;
 }
 

@@ -91,10 +91,19 @@ ResilienceStats resilience_experiment(
 // ---------------------------------------------------------------------
 // Regional-outage experiment: a correlated blackout hits every edge PoP
 // within a radius, and the attached HLS viewers must detect the silent
-// edge (failed poll + detect timeout), re-anycast to the nearest edge
-// still alive, and re-fill their pipeline through a cold cache — the
-// second pipeline flush. Viewers with no live edge left are orphaned and
-// score the entire missing tail as stall.
+// edge (failed poll + detect timeout), re-anycast to an edge still
+// alive, and re-fill their pipeline through a cold cache — the second
+// pipeline flush. Every refugee pays the same cold-cache pull wherever it
+// lands, so failover latency does not depend on the distance travelled.
+// Viewers with no live edge left are orphaned and score the entire
+// missing tail as stall.
+//
+// The outage replays (this one, capacity spill below and
+// control_steering_experiment) share one per-viewer draw — location, one
+// W2F pull per chunk, poll phase, from the trace's substream — and one
+// RNG-free poll walk that asks its caller for the re-anycast decision at
+// the first poll lost to the dark PoP. This experiment walks each viewer
+// once; it is the reference the capacity-spill driver is held to.
 
 struct RegionalOutageConfig {
   /// Blackout geometry (fault::RegionalBlackoutSpec semantics: the
@@ -165,16 +174,15 @@ RegionalOutageStats regional_resilience_experiment(
 // popular edge can refuse spill traffic from day one.
 //
 // Determinism: a shared load ledger would make naive per-viewer
-// parallelism racy, so the driver runs in phases — (A) a parallel
-// pre-walk that replays each viewer's RNG draws in exactly the order
-// regional_resilience_experiment makes them and walks to the re-anycast
-// decision point; (B) a SERIAL admission pass over affected viewers in
-// (decision time, trace, viewer) order against the ledger; (C) a
-// parallel resumption of the walks (no RNG is drawn after the decision);
-// (D) a serial emission of samples in canonical (trace, viewer) order.
-// Results are byte-identical at every thread count, and with
-// edge_capacity == 0 they reproduce regional_resilience_experiment's
-// samplers and counters bit for bit.
+// parallelism racy, so one four-phase driver (shared with
+// control_steering_experiment) runs it — (A) a parallel pass that draws
+// each viewer and walks it to its first dark poll; (B) a SERIAL
+// admission pass over affected viewers in (decision time, trace, viewer)
+// order against the ledger; (C) a parallel re-walk of the affected
+// viewers with their admission outcome; (D) a serial emission of samples
+// in canonical (trace, viewer) order. Results are byte-identical at
+// every thread count, and with edge_capacity == 0 they reproduce
+// regional_resilience_experiment's samplers and counters bit for bit.
 
 struct CapacitySpillConfig {
   /// Blackout geometry, viewer population, cadences, seed, threads —

@@ -643,13 +643,16 @@ std::uint64_t fingerprint(const analysis::CapacitySpillStats& r) {
   return h.value();
 }
 
-// The PR 3 parity contract: edge_capacity == 0 must reproduce the
-// single-nearest-edge regional experiment bit for bit — same samples in
-// the same order, same counters — with the spill ledgers empty.
+// The parity contract: edge_capacity == 0 must reproduce the
+// single-pass regional experiment bit for bit — same samples in the
+// same order, same counters — with the spill ledgers empty. 20000 km
+// darkens the whole footprint, the one case where the re-anycast
+// decision orphans every affected viewer.
 TEST(CapacitySpill, InfiniteCapacityReproducesRegionalExperimentBitForBit) {
   const auto traces = small_trace_set(1);
   const auto catalog = geo::DatacenterCatalog::paper_footprint();
-  for (double radius : {0.0, 3000.0}) {
+  const std::size_t edges = catalog.edge_sites().size();
+  for (double radius : {0.0, 3000.0, 20000.0}) {
     analysis::CapacitySpillConfig ccfg;  // edge_capacity defaults to 0
     ccfg.base.radius_km = radius;
     ccfg.base.seed = 77;
@@ -668,6 +671,22 @@ TEST(CapacitySpill, InfiniteCapacityReproducesRegionalExperimentBitForBit) {
     // The load ledger still ran: anycast joins count even when nothing
     // spills.
     EXPECT_FALSE(cap.edge_peak_loads.empty());
+
+    if (radius < 20000.0) continue;
+    // Every edge dark: every viewer is affected and orphaned, nobody
+    // fails over, and no failover latency is ever sampled.
+    const auto expect_all_orphaned =
+        [&](const analysis::RegionalOutageCounters& c, std::size_t dark,
+            const stats::Sampler& latency) {
+      EXPECT_EQ(dark, edges);
+      EXPECT_EQ(c.viewers, traces.size() * ccfg.base.viewers_per_broadcast);
+      EXPECT_EQ(c.affected, c.viewers);
+      EXPECT_EQ(c.orphaned, c.viewers);
+      EXPECT_EQ(c.failovers, 0u);
+      EXPECT_TRUE(latency.empty());
+    };
+    expect_all_orphaned(reg.counters, reg.dark_edges, reg.failover_latency_s);
+    expect_all_orphaned(cap.counters, cap.dark_edges, cap.failover_latency_s);
   }
 }
 
