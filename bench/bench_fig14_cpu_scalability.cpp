@@ -6,11 +6,14 @@
 // serves a few polls per viewer per chunk. This is the scalability side
 // of the latency/scalability trade-off.
 //
-// Part 2 turns the lens on our own engine: the trace-driven experiments
+// Part 2 turns the lens on our own runner: the trace-driven experiments
 // are embarrassingly parallel across broadcasts, so the runner shards them
 // over a thread pool. The sweep measures wall-clock speedup vs threads=1
-// and asserts the results stay bit-identical at every thread count.
+// and asserts the results stay bit-identical at every thread count: the
+// bench exits non-zero if any thread count's trace fingerprint or polling
+// mean differs from threads=1's.
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <thread>
 
@@ -25,8 +28,6 @@
 namespace {
 using namespace livesim;
 
-// Event-level validation: run an ingest server that actually pushes frames
-// to N subscribers for 30 s and read its CPU meter.
 // Position-sensitive FNV-style fingerprint of a trace set: any reordering
 // or single-tick change shows up. Used to certify that the sharded runs
 // produced bit-identical traces.
@@ -41,6 +42,8 @@ std::uint64_t fingerprint(const std::vector<analysis::BroadcastTrace>& traces) {
   return h.value();
 }
 
+// Event-level validation: run an ingest server that actually pushes frames
+// to N subscribers for 30 s and read its CPU meter.
 double measured_rtmp_cpu(std::uint32_t viewers) {
   sim::Simulator sim;
   cdn::IngestServer server(sim, DatacenterId{0}, media::Chunker::Params{},
@@ -79,9 +82,9 @@ int main() {
               "difference.\n",
               25.0 / (1.0 / 2.8));
 
-  // --- Part 2: our engine's CPU scalability (parallel experiment runner).
+  // --- Part 2: the parallel experiment runner's CPU scalability.
   stats::print_banner(
-      "Engine scalability: sharded trace generation + polling simulation");
+      "Runner scalability: sharded trace generation + polling simulation");
   analysis::TraceSetConfig cfg;
   cfg.broadcasts = 600;
   cfg.broadcast_len = 2 * time::kMinute;
@@ -90,6 +93,7 @@ int main() {
   double base_ms = 0.0;
   std::uint64_t ref_print = 0;
   double ref_mean = 0.0;
+  bool all_identical = true;
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     cfg.threads = threads;
     const auto t0 = std::chrono::steady_clock::now();
@@ -108,15 +112,17 @@ int main() {
     }
     // Bitwise comparison, not tolerance: the runner's contract.
     const bool identical = print == ref_print && mean == ref_mean;
+    all_identical = all_identical && identical;
     sweep.add_row({stats::Table::integer(threads), stats::Table::num(ms, 0),
                    stats::Table::num(base_ms / ms, 2),
                    identical ? "yes" : "NO -- BUG"});
   }
   sweep.print();
+  std::printf("\nTrace fingerprint (threads=1): %016" PRIx64 "\n", ref_print);
   std::printf("\n%u hardware thread(s) on this machine; ideal speedup at N "
               "threads is min(N, cores). Determinism holds regardless: the "
               "same seed gives byte-identical traces and polling stats at "
               "every thread count (threads=1 == the serial path).\n",
               std::thread::hardware_concurrency());
-  return 0;
+  return all_identical ? 0 : 1;
 }

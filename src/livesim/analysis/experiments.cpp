@@ -25,10 +25,9 @@ struct TraceDraws {
 
 BroadcastTrace simulate_one_trace(const TraceSetConfig& config,
                                   const TraceDraws& draws) {
-  sim::Simulator sim;
   BroadcastTrace trace;
 
-  net::FifoUplink::Params uplink_params;
+  net::UplinkModel::Params uplink_params;
   if (draws.profile < config.bursty_fraction) {
     uplink_params = net::LastMileProfiles::bursty_uplink();
     trace.bursty = true;
@@ -46,40 +45,37 @@ BroadcastTrace simulate_one_trace(const TraceSetConfig& config,
   } else {
     uplink_params = net::LastMileProfiles::stable_uplink();
   }
-  net::FifoUplink uplink(sim, uplink_params, Rng(draws.uplink_seed));
+  net::UplinkModel uplink(uplink_params, Rng(draws.uplink_seed), 0);
 
   media::FrameSource source({}, Rng(draws.source_seed));
   media::Chunker::Params chunk_params;
   chunk_params.target_duration = config.chunk_target;
   chunk_params.max_duration = 2 * config.chunk_target;
   media::Chunker chunker(chunk_params);
+  const auto record = [&trace](const media::Chunk& c) {
+    trace.chunks.push_back(
+        {c.completed_ts, c.first_capture_ts, c.duration, c.size_bytes});
+  };
 
   const auto frames = static_cast<std::uint64_t>(
       config.broadcast_len / source.params().frame_interval);
   trace.frame_interval = source.params().frame_interval;
   trace.frame_arrivals.resize(frames, 0);
 
-  // Connect handshake ahead of frame 1 (see BroadcastSession::start).
-  uplink.send(4096, [](TimeUs) {});
+  // No engine: the uplink computes each arrival when the frame is sent,
+  // frames are sent in capture order one interval after capture, and
+  // arrivals never decrease. So frame order is the order the ingest sees
+  // them, and the chunker is fed inline. Connect handshake ahead of frame
+  // 1 (see BroadcastSession::start).
+  TimeUs last_arrival = uplink.transmit(0, 4096);
   for (std::uint64_t i = 0; i < frames; ++i) {
-    media::VideoFrame f = source.next(0);
-    sim.schedule_at(
-        f.capture_ts + trace.frame_interval, [&, f]() mutable {
-          uplink.send(f.size_bytes + 64, [&trace, &chunker, f](TimeUs at) {
-            trace.frame_arrivals[f.seq] = at;
-            if (auto sealed = chunker.push(f, at)) {
-              trace.chunks.push_back({sealed->completed_ts,
-                                      sealed->first_capture_ts,
-                                      sealed->duration, sealed->size_bytes});
-            }
-          });
-        });
+    const media::VideoFrame f = source.next(0);
+    last_arrival =
+        uplink.transmit(f.capture_ts + trace.frame_interval, f.size_bytes + 64);
+    trace.frame_arrivals[f.seq] = last_arrival;
+    if (auto sealed = chunker.push(f, last_arrival)) record(*sealed);
   }
-  sim.run();
-  if (auto sealed = chunker.flush(sim.now())) {
-    trace.chunks.push_back({sealed->completed_ts, sealed->first_capture_ts,
-                            sealed->duration, sealed->size_bytes});
-  }
+  if (auto sealed = chunker.flush(last_arrival)) record(*sealed);
   return trace;
 }
 

@@ -14,7 +14,10 @@
 // guaranteed identical for the same seed at EVERY thread count:
 //  * generate_traces pre-draws each broadcast's seeds from the master RNG
 //    serially (the master stream advances a fixed 3 draws per broadcast),
-//    so its output is byte-identical to the historical serial loop.
+//    then runs each broadcast as one loop in frame order with no engine:
+//    net::UplinkModel computes every arrival in closed form when the frame
+//    is sent. Its output is byte-identical to the historical engine-driven
+//    serial loop (kept as the oracle in tests/test_parallel_runner.cpp).
 //  * polling/buffering derive one RNG substream per broadcast via
 //    sim::substream_seed(seed, index), and shards merge in index order.
 #ifndef LIVESIM_ANALYSIS_EXPERIMENTS_H
@@ -57,8 +60,10 @@ struct TraceSetConfig {
   unsigned threads = 1;            // worker threads; 0 = all hardware threads
 };
 
-/// Generates per-broadcast arrival traces by simulating the broadcaster
-/// uplink + chunker (the part of the paper's pipeline their crawler saw).
+/// Generates per-broadcast arrival traces from the broadcaster uplink +
+/// chunker (the part of the paper's pipeline their crawler saw). Each
+/// broadcast is one loop in frame order: handshake, then per frame the
+/// uplink's closed-form arrival and a chunker push; no Simulator.
 std::vector<BroadcastTrace> generate_traces(const TraceSetConfig& config);
 
 // --- §5.2: polling delay (Figures 12 & 13) ---

@@ -25,9 +25,9 @@ DurationUs Link::send(std::size_t bytes, sim::EventFn on_arrival) {
   return d;
 }
 
-FifoUplink::FifoUplink(sim::Simulator& sim, Params params, Rng rng)
-    : sim_(sim), params_(params), rng_(rng), created_at_(sim.now()),
-      next_free_(sim.now()), next_outage_start_(sim.now()),
+UplinkModel::UplinkModel(Params params, Rng rng, TimeUs start)
+    : params_(params), rng_(rng), created_at_(start), next_free_(start),
+      next_outage_start_(start),
       outages_enabled_(params.outage_rate_per_s > 0.0) {
   if (outages_enabled_) {
     next_outage_start_ += static_cast<TimeUs>(
@@ -40,7 +40,7 @@ FifoUplink::FifoUplink(sim::Simulator& sim, Params params, Rng rng)
   }
 }
 
-void FifoUplink::maybe_advance_outages(TimeUs until) {
+void UplinkModel::maybe_advance_outages(TimeUs until) {
   // Lazily apply every outage that begins before `until`: each one pushes
   // the link's free time past the outage end.
   while (outages_enabled_ && next_outage_start_ <= until) {
@@ -56,7 +56,7 @@ void FifoUplink::maybe_advance_outages(TimeUs until) {
   }
 }
 
-double FifoUplink::bandwidth_at(TimeUs t) const noexcept {
+double UplinkModel::bandwidth_at(TimeUs t) const noexcept {
   const double full = params_.link.bandwidth_bps;
   const TimeUs age = t - created_at_;
   if (params_.ramp_duration <= 0 || age >= params_.ramp_duration) return full;
@@ -68,13 +68,11 @@ double FifoUplink::bandwidth_at(TimeUs t) const noexcept {
   return full * frac;
 }
 
-void FifoUplink::inject_outage(DurationUs duration) {
-  const TimeUs end = sim_.now() + duration;
+void UplinkModel::block_until(TimeUs end) noexcept {
   if (end > next_free_) next_free_ = end;
 }
 
-TimeUs FifoUplink::send(std::size_t bytes, ArrivalFn on_arrival) {
-  const TimeUs now = sim_.now();
+TimeUs UplinkModel::transmit(TimeUs now, std::size_t bytes) {
   TimeUs depart = next_free_ > now ? next_free_ : now;
   maybe_advance_outages(depart);
   depart = next_free_ > depart ? next_free_ : depart;
@@ -94,6 +92,11 @@ TimeUs FifoUplink::send(std::size_t bytes, ArrivalFn on_arrival) {
   // TCP delivers in order: a delayed byte delays everything behind it.
   if (arrive < last_arrival_) arrive = last_arrival_;
   last_arrival_ = arrive;
+  return arrive;
+}
+
+TimeUs FifoUplink::send(std::size_t bytes, ArrivalFn on_arrival) {
+  const TimeUs arrive = model_.transmit(sim_.now(), bytes);
   sim_.schedule_at(arrive, [arrive, fn = std::move(on_arrival)] { fn(arrive); });
   return arrive;
 }

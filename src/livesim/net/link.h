@@ -3,11 +3,18 @@
 // Link: memoryless one-way delay (propagation + serialization + jitter,
 // optional loss) -- used for server<->server and download paths.
 //
-// FifoUplink: a stateful first-in-first-out uplink with transient outages,
-// used for the broadcaster's last mile. Frames cannot overtake each other,
-// so an outage makes queued frames arrive in a burst when connectivity
-// returns -- the mechanism behind the paper's ~10% of broadcasts with >5 s
-// client-side buffering delay (Fig 16b).
+// The broadcaster's last mile is a stateful first-in-first-out uplink with
+// transient outages. Frames cannot overtake each other, so an outage makes
+// queued frames arrive in a burst when connectivity returns -- the
+// mechanism behind the paper's ~10% of broadcasts with >5 s client-side
+// buffering delay (Fig 16b). It comes in two parts:
+//  * UplinkModel: the pure model. transmit(now, bytes) returns the arrival
+//    time in closed form; nothing is scheduled. Arrivals never decrease
+//    and nothing feeds back into the model, so a caller that only needs
+//    arrival times (generate_traces) runs it in a plain loop, no engine.
+//  * FifoUplink: the thin event wrapper sessions use. send() and
+//    inject_outage() call the model at sim.now() and schedule the arrival
+//    callback.
 #ifndef LIVESIM_NET_LINK_H
 #define LIVESIM_NET_LINK_H
 
@@ -48,13 +55,8 @@ class Link {
   Rng rng_;
 };
 
-class FifoUplink {
+class UplinkModel {
  public:
-  /// Arrival callback. Sized so that the uplink's own [arrival-time +
-  /// callback] capture still fits the engine's 64-byte inline budget:
-  /// 48-byte buffer + vtable pointer + 8-byte timestamp == 64.
-  using ArrivalFn = sim::InplaceFunction<void(TimeUs), 48>;
-
   struct Params {
     Link::Params link{};                      // per-message delay model
     double outage_rate_per_s = 0.0;           // Poisson outage arrivals
@@ -72,25 +74,26 @@ class FifoUplink {
     DurationUs mean_initial_outage = 0;
   };
 
-  FifoUplink(sim::Simulator& sim, Params params, Rng rng);
+  /// `start` is the clock origin of the bandwidth ramp and the outage
+  /// process (the instant the broadcaster connects).
+  UplinkModel(Params params, Rng rng, TimeUs start);
 
-  /// Enqueues a message of `bytes` now; `on_arrival(arrival_time)` fires
-  /// at the receiver. FIFO order is preserved. Returns the arrival time.
-  TimeUs send(std::size_t bytes, ArrivalFn on_arrival);
+  /// Sends a message of `bytes` at `now` and returns its arrival time at
+  /// the receiver. Call it in send order (non-decreasing `now`): the
+  /// random draws follow call order, and arrivals never decrease (FIFO,
+  /// in-order delivery).
+  TimeUs transmit(TimeUs now, std::size_t bytes);
 
-  /// Blocks the uplink until now + `duration` (fault injection: a link
-  /// partition with a known recovery point). Messages sent during the
-  /// window queue behind it and flood out in FIFO order at recovery,
-  /// exactly like a natural outage. Draws no randomness.
-  void inject_outage(DurationUs duration);
-
-  const Params& params() const noexcept { return params_; }
+  /// Blocks the uplink until `end` (fault injection: a link partition
+  /// with a known recovery point). Messages sent before then queue behind
+  /// it and flood out in FIFO order at recovery, exactly like a natural
+  /// outage. Draws no randomness.
+  void block_until(TimeUs end) noexcept;
 
  private:
   void maybe_advance_outages(TimeUs until);
   double bandwidth_at(TimeUs t) const noexcept;
 
-  sim::Simulator& sim_;
   Params params_;
   Rng rng_;
   TimeUs created_at_ = 0;         // ramp/outage clock origin
@@ -98,6 +101,32 @@ class FifoUplink {
   TimeUs last_arrival_ = 0;       // in-order delivery floor
   TimeUs next_outage_start_ = 0;  // lazily sampled outage process
   bool outages_enabled_;
+};
+
+class FifoUplink {
+ public:
+  using Params = UplinkModel::Params;
+
+  /// Arrival callback. Sized so that the uplink's own [arrival-time +
+  /// callback] capture still fits the engine's 64-byte inline budget:
+  /// 48-byte buffer + vtable pointer + 8-byte timestamp == 64.
+  using ArrivalFn = sim::InplaceFunction<void(TimeUs), 48>;
+
+  FifoUplink(sim::Simulator& sim, Params params, Rng rng)
+      : sim_(sim), model_(params, rng, sim.now()) {}
+
+  /// Enqueues a message of `bytes` now; `on_arrival(arrival_time)` fires
+  /// at the receiver. FIFO order is preserved. Returns the arrival time.
+  TimeUs send(std::size_t bytes, ArrivalFn on_arrival);
+
+  /// Blocks the uplink until now + `duration` (see UplinkModel::block_until).
+  void inject_outage(DurationUs duration) {
+    model_.block_until(sim_.now() + duration);
+  }
+
+ private:
+  sim::Simulator& sim_;
+  UplinkModel model_;
 };
 
 /// Canned last-mile profiles roughly matching 2015 access networks.

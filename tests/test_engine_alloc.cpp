@@ -2,7 +2,8 @@
 // operator-new hook: once the arena and heap are warm, scheduling and
 // running events whose captures fit the EventFn inline budget must perform
 // ZERO heap allocations, and PeriodicProcess steady-state ticking must
-// re-arm in place without touching the allocator.
+// re-arm in place without touching the allocator. It also pins that
+// trace generation allocates per broadcast, not per frame.
 //
 // This lives in its own test binary because replacing global operator new
 // is a whole-program decision; the main livesim_tests binary stays stock.
@@ -16,6 +17,7 @@
 #include <new>
 #include <vector>
 
+#include "livesim/analysis/experiments.h"
 #include "livesim/sim/simulator.h"
 
 namespace {
@@ -119,6 +121,21 @@ TEST(EngineAllocations, PeriodicSteadyStateTickingIsAllocationFree) {
       << "steady-state periodic ticking allocated";
   proc.stop();
   EXPECT_EQ(ticks_seen, 1006u);
+}
+
+TEST(TraceAllocations, GenerateTracesAllocatesPerBroadcastNotPerFrame) {
+  analysis::TraceSetConfig cfg;
+  cfg.broadcasts = 8;
+  cfg.broadcast_len = 2 * time::kMinute;  // 3,000 frames each
+  cfg.threads = 1;
+  const std::uint64_t before = allocation_count();
+  const auto traces = analysis::generate_traces(cfg);
+  const std::uint64_t allocations = allocation_count() - before;
+  ASSERT_EQ(traces.size(), 8u);
+  ASSERT_EQ(traces[0].frame_arrivals.size(), 3000u);
+  EXPECT_LT(allocations, 32u * 8u)
+      << "trace generation allocated " << allocations << " times for "
+      << 8 * 3000 << " frames";
 }
 
 }  // namespace

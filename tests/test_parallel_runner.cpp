@@ -1,6 +1,7 @@
 // Determinism regression for the parallel experiment runner: the same seed
-// must produce identical results at every thread count, and threads=1 must
-// match the legacy (pre-parallel) serial driver byte for byte.
+// must produce identical results at every thread count, and the
+// closed-form generate_traces must match the legacy engine-driven serial
+// driver byte for byte.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -136,9 +137,11 @@ TraceSetConfig det_config(unsigned threads) {
   return cfg;
 }
 
-// Verbatim copy of the pre-parallel serial generate_traces loop: the
-// archival reference that pins "threads=1 matches the legacy serial path"
-// as a byte-for-byte guarantee rather than a code comment.
+// Verbatim copy of the pre-parallel serial generate_traces loop, which
+// delivers every uplink arrival through a Simulator: the engine-driven
+// oracle for the closed-form loop. It pins "generate_traces matches the
+// engine-driven serial path at every thread count" as a byte-for-byte
+// guarantee rather than a code comment.
 std::vector<BroadcastTrace> legacy_generate_traces(const TraceSetConfig& config) {
   std::vector<BroadcastTrace> traces;
   traces.reserve(static_cast<std::size_t>(config.broadcasts));
@@ -233,10 +236,39 @@ void expect_samplers_identical(const stats::Sampler& a,
 }
 
 TEST(ParallelRunner, TraceGenerationMatchesLegacySerialPath) {
-  const auto legacy = legacy_generate_traces(det_config(1));
-  for (unsigned threads : {1u, 2u, 8u}) {
-    SCOPED_TRACE(threads);
-    expect_traces_identical(legacy, generate_traces(det_config(threads)));
+  // det_config already mixes all three uplink profiles (bursty,
+  // slow-start, stable); the variants cover the frame-count edges, a
+  // length off the frame grid, short and long chunks, and a mix with no
+  // stable uplink.
+  struct Case {
+    const char* name;
+    TraceSetConfig cfg;
+  };
+  std::vector<Case> cases(7, {"", det_config(1)});
+  cases[0].name = "det_config";
+  cases[1].name = "zero frames";
+  cases[1].cfg.broadcast_len = 30 * time::kMillisecond;
+  cases[2].name = "one frame";
+  cases[2].cfg.broadcast_len = 40 * time::kMillisecond;
+  cases[3].name = "length off the frame grid";
+  cases[3].cfg.broadcast_len = time::kMinute + 17 * time::kMillisecond;
+  cases[4].name = "0.5 s chunk target (one 1 s GOP per chunk)";
+  cases[4].cfg.chunk_target = 500 * time::kMillisecond;
+  cases[5].name = "10 s chunk target (ten GOPs per chunk)";
+  cases[5].cfg.chunk_target = 10 * time::kSecond;
+  cases[6].name = "half bursty, half slow-start";
+  cases[6].cfg.bursty_fraction = 0.5;
+  cases[6].cfg.slow_start_fraction = 0.5;
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto legacy = legacy_generate_traces(c.cfg);
+    for (unsigned threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(threads);
+      TraceSetConfig cfg = c.cfg;
+      cfg.threads = threads;
+      expect_traces_identical(legacy, generate_traces(cfg));
+    }
   }
 }
 
