@@ -36,7 +36,9 @@ cmake --build "$BUILD" -j \
 ctest --test-dir "$BUILD" -L control --output-on-failure \
   || fail "control-labelled tests failed"
 
-OUT="$("$BUILD"/bench/bench_control_steering BENCH_control.json 160)" \
+# 300 broadcasts: the size of the tracked BENCH_control.json, so
+# scripts/check_pins.py can compare the rewrite with the committed copy.
+OUT="$("$BUILD"/bench/bench_control_steering BENCH_control.json 300)" \
   || fail "bench_control_steering exited non-zero"
 
 # Off-parity: one line per radius x capacity pair (2x2 sweep), and every

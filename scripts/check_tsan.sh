@@ -54,7 +54,8 @@ TSAN_OPTIONS="halt_on_error=1:abort_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \
   || fail "data race or test failure in the resilience determinism suites"
 
 # The poll-wheel battery: cohort churn against the slot arena, plus the
-# wheels-on/off session differentials (crowd generation itself shards
+# shared-wheel vs per-viewer-timer session differentials, the one HLS
+# tick lane against its test oracle (crowd generation itself shards
 # over the pool via parallel_map, so this doubles as a race check on the
 # SoA ledger access pattern).
 TSAN_OPTIONS="halt_on_error=1:abort_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \

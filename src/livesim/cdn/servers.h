@@ -57,11 +57,11 @@ class IngestServer {
   void set_chunk_listener(ChunkSink sink) { chunk_listener_ = std::move(sink); }
 
   // --- LL-HLS partial segments ---
-  // Off by default: with no part listener installed the per-frame path is
-  // bit-identical to the pre-LL-HLS server (no extra branches taken, no
-  // extra CPU charged). `part_duration` must be strictly positive -- the
-  // config boundary (LlHlsParams::normalized()) clamps degenerate values
-  // before they reach here.
+  // Off by default: with no part listener installed the per-frame path
+  // takes no extra branch and charges no extra CPU. `part_duration` must
+  // be strictly positive -- the config boundary
+  // (LlHlsParams::normalized()) clamps degenerate values before they
+  // reach here.
   void enable_parts(DurationUs part_duration, PartSink sink) {
     part_duration_ = part_duration < 1 ? 1 : part_duration;
     part_listener_ = std::move(sink);
@@ -227,8 +227,7 @@ class EdgeServer {
   // edge can sit above capacity from joins alone and then refuse spill
   // traffic.
 
-  /// 0 (the default) = unbounded; nothing changes vs the pre-capacity
-  /// code, bit for bit.
+  /// 0 (the default) = unbounded.
   void set_capacity(std::uint64_t cap) noexcept { capacity_ = cap; }
   std::uint64_t capacity() const noexcept { return capacity_; }
   /// True when a finite capacity is met or exceeded: the spill policy

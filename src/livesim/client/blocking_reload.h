@@ -12,8 +12,7 @@
 //
 // The loop itself is driven by core::BroadcastSession (it owns the event
 // engine legs); this struct is the per-viewer lane state plus the gap
-// policy, mirroring client::PollRetryState's role for the solo-retry
-// lane.
+// policy. Reloads never tick on a poll wheel: the server paces them.
 #ifndef LIVESIM_CLIENT_BLOCKING_RELOAD_H
 #define LIVESIM_CLIENT_BLOCKING_RELOAD_H
 
@@ -27,8 +26,8 @@ struct BlockingReloadLane {
   /// Highest part sequence the client holds (-1 before the first part):
   /// the `_HLS_part` cursor the next reload blocks on.
   std::int64_t last_part_seq = -1;
-  /// One reload in flight (the chain invariant; reloads are never
-  /// wheel-driven, so the lane owns its own flag).
+  /// One reload in flight (the chain invariant; the LL-HLS analog of
+  /// the HLS viewer's poll-outstanding bit).
   bool outstanding = false;
 
   // --- ledgers ---

@@ -15,8 +15,7 @@
 // randomness (none is drawn by default) comes from one dedicated RNG
 // substream handed over at construction — so enabling the control plane
 // never perturbs any other component's stream, and with
-// ControlPlaneConfig::enabled == false no object is built at all:
-// byte-for-byte parity with the pre-control-plane system.
+// ControlPlaneConfig::enabled == false no object is built at all.
 #ifndef LIVESIM_CONTROL_CONTROL_H
 #define LIVESIM_CONTROL_CONTROL_H
 

@@ -38,7 +38,6 @@ std::uint32_t PollWheel::acquire_slot() {
   ledger_.first_due.push_back(0);
   ledger_.prev.push_back(kNil);
   ledger_.next.push_back(kNil);
-  ledger_.outstanding.push_back(0);
   return idx;
 }
 
@@ -47,7 +46,6 @@ void PollWheel::release_slot(std::uint32_t idx) {
   // goes stale; the slot then heads the free list.
   ++ledger_.generation[idx];
   ledger_.bucket[idx] = kNil;
-  ledger_.outstanding[idx] = 0;
   ledger_.prev[idx] = kNil;
   ledger_.next[idx] = free_head_;
   free_head_ = idx;
@@ -61,7 +59,6 @@ CohortSlot PollWheel::attach(TimeUs first_tick, std::uint64_t tag) {
   ledger_.tag[idx] = tag;
   ledger_.bucket[idx] = b;
   ledger_.first_due[idx] = first_tick;
-  ledger_.outstanding[idx] = 0;
 
   // Append at tail: fan-out order == attach order == the firing order of
   // equivalent per-viewer timers created in the same sequence.
@@ -105,14 +102,6 @@ bool PollWheel::detach(CohortSlot s) {
 }
 
 bool PollWheel::attached(CohortSlot s) const noexcept { return live(s); }
-
-bool PollWheel::outstanding(CohortSlot s) const noexcept {
-  return live(s) && ledger_.outstanding[s.index] != 0;
-}
-
-void PollWheel::set_outstanding(CohortSlot s, bool v) noexcept {
-  if (live(s)) ledger_.outstanding[s.index] = v ? 1 : 0;
-}
 
 std::uint64_t PollWheel::tag(CohortSlot s) const noexcept {
   return live(s) ? ledger_.tag[s.index] : 0;

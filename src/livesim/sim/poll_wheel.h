@@ -1,4 +1,4 @@
-// Bucketed poll wheel: the flash-crowd fast path for periodic polling.
+// Bucketed poll wheel: the one way an HLS viewer polls its edge.
 //
 // The §5.2 HLS tier has every viewer poll its edge on its own ~2.8 s
 // timer. Simulated literally (one PeriodicProcess per viewer) a flash
@@ -8,16 +8,19 @@
 // poll period, members of a bucket hang off an intrusive list, and a
 // single pending event (for the earliest non-empty bucket) fans out to
 // the whole cohort when it fires. Scheduling cost scales with edges, not
-// viewers.
+// viewers. A one-member wheel fires one event per tick: it is a
+// per-viewer timer, the oracle the session differential tests compare
+// shared edge wheels against.
 //
-// Per-viewer poll state lives here as struct-of-arrays cohort ledgers
-// indexed by dense slots -- the next-deadline bucket, the intrusive list
-// links, and the poll-outstanding flag -- addressed by {index, generation}
-// CohortSlot handles exactly like the engine's EventHandle, so a stale
-// handle (viewer migrated away, slot recycled) can never touch the slot's
-// next tenant.
+// Per-member state lives here as struct-of-arrays ledgers indexed by
+// dense slots -- the next-deadline bucket, the first-due gate and the
+// intrusive list links -- addressed by {index, generation} CohortSlot
+// handles exactly like the engine's EventHandle, so a stale handle
+// (viewer migrated away, slot recycled) can never touch the slot's next
+// tenant.
 //
-// Determinism contract (the wheels-on/off differential relies on it):
+// Determinism contract (the shared-vs-per-viewer-wheel differential
+// relies on it):
 //  * fan-out visits a bucket's members in attach order (append-at-tail),
 //    which is exactly the firing order of one-PeriodicProcess-per-viewer
 //    timers created in the same order;
@@ -91,10 +94,7 @@ class PollWheel {
 
   /// True while `s` names a live member.
   bool attached(CohortSlot s) const noexcept;
-
-  // --- per-member ledger (generation-checked; no-ops on stale slots) ---
-  bool outstanding(CohortSlot s) const noexcept;
-  void set_outstanding(CohortSlot s, bool v) noexcept;
+  /// The member's tag (0 on a stale slot).
   std::uint64_t tag(CohortSlot s) const noexcept;
 
   // --- introspection ---
@@ -121,7 +121,6 @@ class PollWheel {
     std::vector<TimeUs> first_due;         // gate for the first rotation
     std::vector<std::uint32_t> prev;       // intrusive bucket list links
     std::vector<std::uint32_t> next;       // (doubles as free-list link)
-    std::vector<std::uint8_t> outstanding; // one poll request in flight
   };
 
   bool live(CohortSlot s) const noexcept {

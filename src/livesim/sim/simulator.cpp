@@ -129,8 +129,8 @@ EventHandle Simulator::reschedule_current(TimeUs t) {
         "Simulator::reschedule_current: event already re-armed");
   if (t < now_) t = now_;
   s.state = SlotState::kQueued;
-  // A fresh seq, exactly as a schedule_at-based re-arm would consume one:
-  // same-instant FIFO ordering stays byte-identical to the old engine.
+  // A fresh seq, exactly as a schedule_at-based re-arm would consume one,
+  // so same-instant events keep their FIFO order.
   heap_push(HeapEntry{t, next_seq_++, running_slot_});
   return EventHandle{running_slot_, s.generation};
 }

@@ -1,6 +1,7 @@
 // The session fingerprint the golden pins and the differential session
 // tests share: every viewer's outcome, then the session's failover and
-// buffering ledgers, in one fixed order.
+// buffering ledgers, in one fixed order. Also the one seam into the
+// session's per-viewer-timer oracle.
 #ifndef LIVESIM_TESTS_SESSION_FINGERPRINT_H
 #define LIVESIM_TESTS_SESSION_FINGERPRINT_H
 
@@ -12,6 +13,17 @@
 #include "livesim/util/fingerprint.h"
 
 namespace livesim::test {
+
+/// BroadcastSession's test-only friend. HLS viewers normally poll
+/// through their edge's shared poll wheel; the oracle gives each one a
+/// wheel of its own, which fires one engine event per tick exactly like
+/// a per-viewer timer. Shared wheels must reproduce it bit for bit.
+struct SessionOracle {
+  /// Switch before the session's first HLS viewer starts polling.
+  static void use_per_viewer_timers(core::BroadcastSession& s) {
+    s.per_viewer_wheels_ = true;
+  }
+};
 
 /// Returned unfinished so a test can fold more fields on top.
 inline util::Fingerprint session_fingerprint(const core::BroadcastSession& s) {
@@ -36,11 +48,13 @@ inline util::Fingerprint session_fingerprint(const core::BroadcastSession& s) {
 }
 
 /// Runs one session on the paper footprint to completion and
-/// fingerprints it.
-inline std::uint64_t run_session(const core::SessionConfig& cfg) {
+/// fingerprints it; `per_viewer_timers` runs it on the oracle instead.
+inline std::uint64_t run_session(const core::SessionConfig& cfg,
+                                 bool per_viewer_timers = false) {
   sim::Simulator sim;
   const auto catalog = geo::DatacenterCatalog::paper_footprint();
   core::BroadcastSession session(sim, catalog, cfg);
+  if (per_viewer_timers) SessionOracle::use_per_viewer_timers(session);
   session.start();
   sim.run();
   session.finalize();

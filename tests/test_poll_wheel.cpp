@@ -1,6 +1,7 @@
-// The flash-crowd fast-path battery (ctest binary: livesim_poll_wheel_tests).
+// The HLS tick lane battery (ctest binary: livesim_poll_wheel_tests).
 //
-// Three layers of contract are pinned here:
+// HLS viewers poll only through their edge's PollWheel. Two layers of
+// contract are pinned here:
 //  1. PollWheel unit semantics: grid quantization, attach-order fan-out,
 //     churn safety (detach during fan-out, attach during fan-out, stale
 //     handles against recycled slots), and the empty-wheel-holds-no-event
@@ -8,13 +9,11 @@
 //  2. Wheel-vs-timer equivalence: a randomized churn schedule driven
 //     through a PollWheel and through one-PeriodicProcess-per-member
 //     timers produces the identical (time, tag) tick sequence; a full
-//     BroadcastSession with poll_wheel on/off produces byte-identical
-//     ViewerResults through clean runs, ingest crashes, edge blackouts,
-//     corruption windows, and capacity spills.
-//  3. The solo-retry demotion lane (hls_poll_retry): off by default and
-//     bit-inert when enabled on a fault-free run; a timed-out poll demotes
-//     the viewer to backed-off solo attempts; give-up is terminal until
-//     failover rescues the viewer.
+//     BroadcastSession on shared edge wheels produces byte-identical
+//     ViewerResults to the per-viewer-timer oracle (a wheel per viewer,
+//     tests/session_fingerprint.h) through clean runs, ingest crashes,
+//     edge blackouts, corruption windows, and capacity spills, each also
+//     on a crowded input where viewers share wheel buckets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -218,33 +217,18 @@ TEST(PollWheel, StaleHandlesAreInertAgainstRecycledSlots) {
   EXPECT_TRUE(wheel.detach(s));
   EXPECT_FALSE(wheel.detach(s));  // double-detach: refused
   EXPECT_FALSE(wheel.attached(s));
-  EXPECT_FALSE(wheel.outstanding(s));
+  EXPECT_EQ(wheel.tag(s), 0u);
 
   // The freed slot is recycled for the next member under a bumped
-  // generation; the stale handle must not read or write the new tenant.
+  // generation; the stale handle must not read or detach the new tenant.
   const auto s2 = wheel.attach(wheel.quantize(0), 6);
   ASSERT_EQ(s2.index, s.index);
   ASSERT_NE(s2.generation, s.generation);
-  wheel.set_outstanding(s, true);  // stale write: must be a no-op
-  EXPECT_FALSE(wheel.outstanding(s2));
+  EXPECT_FALSE(wheel.attached(s));
+  EXPECT_EQ(wheel.tag(s), 0u);
   EXPECT_FALSE(wheel.detach(s));
   EXPECT_TRUE(wheel.attached(s2));
   EXPECT_EQ(wheel.tag(s2), 6u);
-}
-
-TEST(PollWheel, OutstandingFlagIsPerSlot) {
-  sim::Simulator sim;
-  sim::PollWheel wheel(sim, 1000, 4);
-  const auto a = wheel.attach(wheel.quantize(0), 1);
-  const auto b = wheel.attach(wheel.quantize(300), 2);
-  EXPECT_FALSE(wheel.outstanding(a));
-  wheel.set_outstanding(a, true);
-  EXPECT_TRUE(wheel.outstanding(a));
-  EXPECT_FALSE(wheel.outstanding(b));
-  wheel.set_outstanding(a, false);
-  wheel.set_outstanding(b, true);
-  EXPECT_FALSE(wheel.outstanding(a));
-  EXPECT_TRUE(wheel.outstanding(b));
 }
 
 TEST(PollWheel, MidFanoutMigrationMovesAMemberBetweenWheels) {
@@ -284,8 +268,8 @@ TEST(PollWheel, MidFanoutMigrationMovesAMemberBetweenWheels) {
 // driven through a PollWheel in one simulation and through
 // one-PeriodicProcess-per-member timers in another. The observable tick
 // sequences (time, tag) must be identical, element for element: this is
-// the ordering contract the session's wheels-on/off bit-identity rests
-// on.
+// the ordering contract the session's shared-wheel vs per-viewer-timer
+// bit-identity rests on.
 struct ChurnOp {
   TimeUs at;
   bool attach;
@@ -423,13 +407,23 @@ TEST(PollWheelChurn, HeavyChurnKeepsLedgerConsistent) {
   EXPECT_EQ(sim.pending(), 0u);  // empty wheel holds no event
 }
 
-// --- 2b. Session-level wheels-on/off bit-identity ---------------------
+// --- 2b. Session level: shared edge wheels vs per-viewer timers -------
 
 using test::run_session;
 
-std::uint64_t run_session_wheel(core::SessionConfig cfg, bool wheel) {
-  cfg.poll_wheel = wheel;
-  return run_session(cfg);
+// Runs `cfg` on shared edge wheels and on the per-viewer-timer oracle,
+// then again on a crowded copy: 32 HLS viewers at the broadcaster share
+// one edge's 64 buckets, so fan-outs visit several members per bucket.
+// The sparse inputs alone almost never put two viewers in one bucket.
+void expect_wheels_match_timers(const core::SessionConfig& cfg) {
+  auto crowded = cfg;
+  crowded.global_viewers = false;
+  crowded.hls_viewers = 32;
+  EXPECT_EQ(run_session(cfg), run_session(cfg, /*per_viewer_timers=*/true))
+      << "sparse input, seed " << cfg.seed;
+  EXPECT_EQ(run_session(crowded),
+            run_session(crowded, /*per_viewer_timers=*/true))
+      << "crowded input, seed " << cfg.seed;
 }
 
 TEST(WheelDifferential, CleanRunByteIdenticalAcrossSeeds) {
@@ -439,8 +433,7 @@ TEST(WheelDifferential, CleanRunByteIdenticalAcrossSeeds) {
     cfg.rtmp_viewers = 2;
     cfg.hls_viewers = 5;
     cfg.seed = seed;
-    EXPECT_EQ(run_session_wheel(cfg, true), run_session_wheel(cfg, false))
-        << "wheels-on/off diverged at seed " << seed;
+    expect_wheels_match_timers(cfg);
   }
 }
 
@@ -452,7 +445,7 @@ TEST(WheelDifferential, IngestCrashMigrationByteIdentical) {
   cfg.seed = 4;
   cfg.faults.add({20 * time::kSecond, fault::FaultKind::kIngestCrash,
                   10 * time::kSecond});
-  EXPECT_EQ(run_session_wheel(cfg, true), run_session_wheel(cfg, false));
+  expect_wheels_match_timers(cfg);
 }
 
 TEST(WheelDifferential, EdgeBlackoutFailoverByteIdentical) {
@@ -471,7 +464,7 @@ TEST(WheelDifferential, EdgeBlackoutFailoverByteIdentical) {
   fault::FaultScenario scenario;
   scenario.add(spec);
   cfg.faults = scenario.expand(catalog, cfg.seed);
-  EXPECT_EQ(run_session_wheel(cfg, true), run_session_wheel(cfg, false));
+  expect_wheels_match_timers(cfg);
 }
 
 TEST(WheelDifferential, CapacitySpillByteIdentical) {
@@ -491,7 +484,7 @@ TEST(WheelDifferential, CapacitySpillByteIdentical) {
   fault::FaultScenario scenario;
   scenario.add(spec);
   cfg.faults = scenario.expand(catalog, cfg.seed);
-  EXPECT_EQ(run_session_wheel(cfg, true), run_session_wheel(cfg, false));
+  expect_wheels_match_timers(cfg);
 }
 
 TEST(WheelDifferential, CorruptionWindowByteIdentical) {
@@ -506,7 +499,7 @@ TEST(WheelDifferential, CorruptionWindowByteIdentical) {
   corrupt.duration = 40 * time::kSecond;
   corrupt.magnitude = 1.0;
   cfg.faults.add(corrupt);
-  EXPECT_EQ(run_session_wheel(cfg, true), run_session_wheel(cfg, false));
+  expect_wheels_match_timers(cfg);
 }
 
 TEST(WheelDifferential, WheelPathIsRunToRunDeterministic) {
@@ -515,7 +508,6 @@ TEST(WheelDifferential, WheelPathIsRunToRunDeterministic) {
   cfg.rtmp_viewers = 1;
   cfg.hls_viewers = 4;
   cfg.seed = 13;
-  ASSERT_TRUE(cfg.poll_wheel);  // the wheel is the default path
   EXPECT_EQ(run_session(cfg), run_session(cfg));
 }
 
@@ -524,9 +516,9 @@ TEST(WheelDifferential, WheelPathIsRunToRunDeterministic) {
 // The bug this pins out: a viewer whose poll request is in flight when
 // its PoP dies must not carry the outstanding flag into its new
 // attachment. The old response evaporates against the bumped generation,
-// the fresh cohort slot starts clear, and the viewer resumes polling on
-// the new edge -- a wedged flag would silence it forever and show up
-// here as a starved post-migration playback.
+// the migration's teardown clears the flag, and the viewer resumes
+// polling on the new edge -- a wedged flag would silence it forever and
+// show up here as a starved post-migration playback.
 TEST(StaleOutstanding, MigratedViewersResumePollingOnTheNewEdge) {
   sim::Simulator sim;
   const auto catalog = geo::DatacenterCatalog::paper_footprint();
@@ -568,128 +560,6 @@ TEST(StaleOutstanding, MigratedViewersResumePollingOnTheNewEdge) {
     EXPECT_NE(v.attachment.value, dead_site);
     EXPECT_GT(v.units_played, 0u);
   }
-}
-
-// --- 3. The solo-retry demotion lane ----------------------------------
-
-TEST(RetryLane, OffByDefaultAndInertOnFaultFreeRuns) {
-  core::SessionConfig cfg;
-  ASSERT_FALSE(cfg.hls_poll_retry);  // historical behaviour is the default
-  cfg.broadcast_len = 40 * time::kSecond;
-  cfg.rtmp_viewers = 1;
-  cfg.hls_viewers = 4;
-  cfg.seed = 11;
-  // Enabling the lane on a run where every poll is answered must be
-  // bit-inert: the timeout events all find their poll already completed,
-  // no retry state is ever created, no extra RNG is drawn.
-  auto with_retry = cfg;
-  with_retry.hls_poll_retry = true;
-  EXPECT_EQ(run_session(cfg), run_session(with_retry));
-}
-
-TEST(RetryLane, TimedOutPollDemotesToBackedOffSoloAttempts) {
-  // A PoP blackout: polls that hit the dead edge are dropped silently.
-  // Without the retry lane a viewer's first unanswered poll wedges it
-  // until failover -- exactly one drop per viewer. With it, the viewer
-  // times out and re-polls on a solo backoff timer, so the dead edge
-  // eats more. Both hold by construction at any seed: the default 1 s
-  // timeout never fires on a healthy poll, and the 5 s detect window
-  // outlasts one poll interval (2.8 s) plus one timeout-and-backoff
-  // cycle (1 s + at most 0.24 s), so every viewer hits the dead edge
-  // once, and with retry at least twice, before the migration.
-  const auto catalog = geo::DatacenterCatalog::paper_footprint();
-  constexpr std::uint32_t kViewers = 8;
-  auto dropped = [&](std::uint64_t seed, bool retry) {
-    sim::Simulator sim;
-    core::SessionConfig cfg;
-    cfg.broadcast_len = 60 * time::kSecond;
-    cfg.rtmp_viewers = 0;
-    cfg.hls_viewers = kViewers;
-    cfg.global_viewers = false;
-    cfg.seed = seed;
-    cfg.failover_detect_timeout = 5 * time::kSecond;
-    cfg.hls_poll_retry = retry;
-    cfg.poll_retry.backoff.base = 200 * time::kMillisecond;
-    cfg.poll_retry.backoff.cap = 400 * time::kMillisecond;
-    fault::RegionalBlackoutSpec spec;
-    spec.at = 20 * time::kSecond;
-    spec.duration = 10 * time::kSecond;
-    spec.center = cfg.broadcaster_location;
-    spec.radius_km = 0.0;
-    fault::FaultScenario scenario;
-    scenario.add(spec);
-    cfg.faults = scenario.expand(catalog, cfg.seed);
-    const std::uint64_t dead_site = cfg.faults.events()[0].target;
-    core::BroadcastSession session(sim, catalog, cfg);
-    session.start();
-    sim.run();
-    session.finalize();
-    EXPECT_EQ(session.edge_failovers(), cfg.hls_viewers);
-    for (const auto& v : session.viewer_results())
-      EXPECT_GT(v.units_played, 0u);
-    return session.edges().at(dead_site)->polls_dropped();
-  };
-  for (std::uint64_t seed = 5; seed <= 12; ++seed) {
-    EXPECT_EQ(dropped(seed, false), kViewers) << "seed " << seed;
-    EXPECT_GT(dropped(seed, true), kViewers)
-        << "retry lane produced no extra poll attempts, seed " << seed;
-  }
-}
-
-TEST(RetryLane, GiveUpIsTerminalUntilFailoverRescues) {
-  // max_attempts = 1: the first timed-out poll exhausts the streak and
-  // the viewer goes inert -- no solo timer, no polling -- until the edge
-  // failover machinery migrates it. Everyone still finishes playing.
-  sim::Simulator sim;
-  const auto catalog = geo::DatacenterCatalog::paper_footprint();
-  core::SessionConfig cfg;
-  cfg.broadcast_len = 60 * time::kSecond;
-  cfg.rtmp_viewers = 0;
-  cfg.hls_viewers = 4;
-  cfg.global_viewers = false;
-  cfg.seed = 5;
-  cfg.hls_poll_retry = true;
-  cfg.poll_retry_timeout = 300 * time::kMillisecond;
-  cfg.poll_retry.max_attempts = 1;
-  fault::RegionalBlackoutSpec spec;
-  spec.at = 20 * time::kSecond;
-  spec.duration = 10 * time::kSecond;
-  spec.center = cfg.broadcaster_location;
-  spec.radius_km = 0.0;
-  fault::FaultScenario scenario;
-  scenario.add(spec);
-  cfg.faults = scenario.expand(catalog, cfg.seed);
-
-  core::BroadcastSession session(sim, catalog, cfg);
-  session.start();
-  sim.run();
-  session.finalize();
-  EXPECT_EQ(session.edge_failovers(), cfg.hls_viewers);
-  for (const auto& v : session.viewer_results()) {
-    EXPECT_FALSE(v.orphaned);
-    EXPECT_GT(v.units_played, 0u);
-  }
-}
-
-TEST(RetryLane, RetryRunsAreRunToRunDeterministic) {
-  const auto catalog = geo::DatacenterCatalog::paper_footprint();
-  core::SessionConfig cfg;
-  cfg.broadcast_len = 60 * time::kSecond;
-  cfg.rtmp_viewers = 0;
-  cfg.hls_viewers = 6;
-  cfg.global_viewers = false;
-  cfg.seed = 21;
-  cfg.hls_poll_retry = true;
-  cfg.poll_retry_timeout = 300 * time::kMillisecond;
-  fault::RegionalBlackoutSpec spec;
-  spec.at = 20 * time::kSecond;
-  spec.duration = 10 * time::kSecond;
-  spec.center = cfg.broadcaster_location;
-  spec.radius_km = 0.0;
-  fault::FaultScenario scenario;
-  scenario.add(spec);
-  cfg.faults = scenario.expand(catalog, cfg.seed);
-  EXPECT_EQ(run_session(cfg), run_session(cfg));
 }
 
 }  // namespace
