@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "livesim/core/service.h"
 
 namespace livesim::core {
@@ -159,20 +162,60 @@ TEST_F(ServiceFixture, MidBroadcastJoinersStillPlay) {
 }
 
 TEST_F(ServiceFixture, LeaveStopsDelivery) {
-  const auto id =
-      service_.start_broadcast({37.77, -122.42}, 60 * time::kSecond);
-  auto v = *service_.join(id, {37.0, -122.0});
-  // Let ~20 s play, then leave; the played-unit count must freeze.
-  sim_.run_until(20 * time::kSecond);
-  service_.leave(v);
-  const auto played_at_leave =
-      service_.session(id)->viewer_playback(v.viewer_index).units_played();
-  sim_.run();
-  const auto played_final =
-      service_.session(id)->viewer_playback(v.viewer_index).units_played();
-  // A few in-flight frames may still land, but not 40 more seconds' worth.
-  EXPECT_LT(played_final, played_at_leave + 50);
-  EXPECT_GT(played_at_leave, 200u);
+  // After a leave nothing more reaches the viewer's playback or the
+  // session's per-tier delay ledgers, on any tier: not an RTMP push in
+  // flight, not an HLS poll response in flight, not an LL-HLS reload
+  // parked at the edge. With 20 viewers per tier, some leave with a
+  // request outstanding.
+  constexpr std::uint32_t kViewers = 20;
+  for (const cdn::DeliveryTier tier :
+       {cdn::DeliveryTier::kRtmp, cdn::DeliveryTier::kLlHls,
+        cdn::DeliveryTier::kHls}) {
+    auto cfg = make_config();
+    cfg.rtmp_slot_cap = tier == cdn::DeliveryTier::kRtmp ? kViewers : 0;
+    cfg.llhls_slot_cap = tier == cdn::DeliveryTier::kLlHls ? kViewers : 0;
+    sim::Simulator sim;
+    LivestreamService service(sim, catalog_, cfg);
+    const auto id =
+        service.start_broadcast({37.77, -122.42}, 60 * time::kSecond);
+    std::vector<LivestreamService::ViewerHandle> viewers;
+    for (std::uint32_t i = 0; i < kViewers; ++i) {
+      viewers.push_back(*service.join(id, {37.0, -122.0}));
+      ASSERT_EQ(viewers.back().tier, tier);
+    }
+    const BroadcastSession& session = *service.session(id);
+    const DelayBreakdown& ledger =
+        tier == cdn::DeliveryTier::kRtmp    ? session.rtmp_breakdown()
+        : tier == cdn::DeliveryTier::kLlHls ? session.llhls_breakdown()
+                                            : session.hls_breakdown();
+    auto units = [&](const LivestreamService::ViewerHandle& v) {
+      const auto& pb = session.viewer_playback(v.viewer_index);
+      return pb.units_played() + pb.units_discarded();
+    };
+    // The viewer-side samples; upload and chunking are the broadcaster's.
+    auto samples = [&] {
+      return std::vector<std::uint64_t>{ledger.w2f_s.count(),
+                                        ledger.polling_s.count(),
+                                        ledger.last_mile_s.count()};
+    };
+
+    // Let ~20 s play, then one viewer leaves every 150 ms, so the leaves
+    // sweep a whole 3 s chunk cycle; each viewer's counts must freeze.
+    std::vector<std::uint64_t> units_at_leave;
+    for (std::uint32_t i = 0; i < kViewers; ++i) {
+      sim.run_until(20 * time::kSecond + i * 150 * time::kMillisecond);
+      service.leave(viewers[i]);
+      units_at_leave.push_back(units(viewers[i]));
+      EXPECT_GT(units_at_leave.back(), 0u);
+    }
+    const auto samples_at_leave = samples();
+    sim.run();
+    for (std::uint32_t i = 0; i < kViewers; ++i)
+      EXPECT_EQ(units(viewers[i]), units_at_leave[i])
+          << "viewer " << i << " on tier " << static_cast<int>(tier);
+    EXPECT_EQ(samples(), samples_at_leave)
+        << "tier " << static_cast<int>(tier);
+  }
 }
 
 TEST_F(ServiceFixture, LeaveIsIdempotentAndSurvivesBroadcastEnd) {
