@@ -10,11 +10,12 @@
 //    delay_breakdown_experiment(4, 42) still hashes to its pin
 //    (analysis::kLegacyBreakdownFingerprint).
 //
-// Part 2 sweeps the Figure-14 server-cost curves through the backend
-// cost hooks and certifies that LL-HLS sits strictly between the two
-// classic tiers once viewers amortise the part pipeline: per-viewer
-// cost above HLS (blocking reloads are work), below RTMP (no per-frame
-// push), with the fixed part-slicing overhead visible at zero viewers.
+// Part 2 sweeps the Figure-14 server-cost curves (cdn::ResourceModel's
+// per-tier closed forms) and certifies that LL-HLS sits strictly
+// between the two classic tiers once viewers amortise the part
+// pipeline: per-viewer cost above HLS (blocking reloads are work), below
+// RTMP (no per-frame push), with the fixed part-slicing overhead visible
+// at zero viewers.
 //
 // Results land in BENCH_backends.json; scripts/check_backends.sh greps
 // the contract lines.
@@ -140,8 +141,7 @@ int main(int argc, char** argv) {
   std::printf("backend_crossover delay ordering rtmp < llhls < hls: %s\n",
               delay_ok ? "yes" : "NO -- BUG");
 
-  // Legacy parity: the two-lane experiment behind the pluggable
-  // interface must still hash to its pin.
+  // Legacy parity: the two-lane experiment must still hash to its pin.
   const auto legacy = analysis::delay_breakdown_experiment(4, 42);
   const auto legacy_fp = analysis::legacy_breakdown_fingerprint(legacy);
   const bool parity_ok = legacy_fp == analysis::kLegacyBreakdownFingerprint;
@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
               legacy_fp, analysis::kLegacyBreakdownFingerprint,
               parity_ok ? "yes" : "NO -- BUG");
 
-  // --- Part 2: the Figure-14 cost sweep through the backend hooks -------
+  // --- Part 2: the Figure-14 cost sweep over the ResourceModel curves ---
   stats::print_banner("Server-cost crossover sweep (Figure 14)");
   const cdn::ResourceModel model;
   const cdn::DeliveryCadence cadence;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Delivery-backend check: builds the backend battery's test and bench
-# targets, runs the `backends`-labelled ctest suite, then runs the
-# crossover bench and asserts the printed contracts:
+# Delivery-tier check: builds the tier battery's test and bench
+# targets, runs the `backends`-labelled ctest suite (the two-tier session
+# goldens and the three-tier LL-HLS golden table among them), then runs
+# the crossover bench and asserts the printed contracts:
 #   * thread-count determinism: the three-lane breakdown experiment
 #     fingerprints byte-identically at threads 1/2/8 ("identical: yes"),
 #   * the delay-ordering contract: RTMP < LL-HLS < HLS end to end,

@@ -58,16 +58,17 @@ BackendBreakdownResult backend_breakdown_experiment(int repetitions,
 std::vector<CrossoverPoint> backend_cost_sweep(
     const cdn::ResourceModel& model, const cdn::DeliveryCadence& cadence,
     const std::vector<std::uint32_t>& viewer_counts) {
-  const auto rtmp = cdn::make_backend(cdn::DeliveryTier::kRtmp, model);
-  const auto llhls = cdn::make_backend(cdn::DeliveryTier::kLlHls, model);
-  const auto hls = cdn::make_backend(cdn::DeliveryTier::kHls, model);
   std::vector<CrossoverPoint> out;
   out.reserve(viewer_counts.size());
   for (std::uint32_t v : viewer_counts) {
-    out.push_back({.viewers = v,
-                   .rtmp_cpu_percent = rtmp->cpu_percent(v, cadence),
-                   .llhls_cpu_percent = llhls->cpu_percent(v, cadence),
-                   .hls_cpu_percent = hls->cpu_percent(v, cadence)});
+    out.push_back(
+        {.viewers = v,
+         .rtmp_cpu_percent = model.rtmp_cpu_percent(v, cadence.fps),
+         .llhls_cpu_percent = model.llhls_cpu_percent(
+             v, cadence.fps, cadence.part_duration_s, cadence.chunk_duration_s),
+         .hls_cpu_percent = model.hls_cpu_percent(
+             v, cadence.fps, cadence.poll_interval_s,
+             cadence.chunk_duration_s)});
   }
   return out;
 }

@@ -7,10 +7,10 @@
 //    the edge caches fresh. Produces a Figure-11-style component
 //    breakdown per tier; the paper's ordering (RTMP < LL-HLS < HLS
 //    end-to-end delay) is the headline pin.
-//  * backend_cost_sweep -- the Figure-14 trade-off rebuilt on the
-//    cdn::DeliveryBackend cost hooks: per-viewer-count server CPU for
-//    each tier, exposing the crossover where per-connection push cost
-//    overtakes the cache-amortised pull tiers.
+//  * backend_cost_sweep -- the Figure-14 trade-off over the three tiers:
+//    per-viewer-count server CPU from cdn::ResourceModel's cost curves,
+//    exposing the crossover where per-connection push cost overtakes the
+//    cache-amortised pull tiers.
 //
 // Sharding/determinism: repetitions are independent sessions, so the
 // breakdown experiment shards BY REPETITION -- each rep owns a private
@@ -27,6 +27,7 @@
 
 #include "livesim/analysis/experiments.h"
 #include "livesim/cdn/delivery_backend.h"
+#include "livesim/cdn/resource_model.h"
 #include "livesim/core/broadcast_session.h"
 
 namespace livesim::analysis {
@@ -51,9 +52,8 @@ struct CrossoverPoint {
   double hls_cpu_percent = 0.0;
 };
 
-/// Sweeps server CPU for each tier over `viewer_counts` using the
-/// pluggable backend cost hooks (no simulation: the closed-form
-/// ResourceModel curves the backends expose).
+/// Sweeps server CPU for each tier over `viewer_counts` (no simulation:
+/// the closed-form ResourceModel curves at `cadence`).
 std::vector<CrossoverPoint> backend_cost_sweep(
     const cdn::ResourceModel& model, const cdn::DeliveryCadence& cadence,
     const std::vector<std::uint32_t>& viewer_counts);

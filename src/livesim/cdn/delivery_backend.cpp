@@ -14,84 +14,4 @@ const char* tier_name(DeliveryTier tier) noexcept {
   return "unknown";
 }
 
-// --- RTMP --------------------------------------------------------------
-
-DurationUs RtmpBackend::delivery_interval(
-    const DeliveryCadence& cadence) const noexcept {
-  if (cadence.fps <= 0) return 0;
-  return static_cast<DurationUs>(1e6 / cadence.fps);
-}
-
-double RtmpBackend::serve_cost_us(const DeliveryCadence&) const noexcept {
-  return model_.frame_push_us;
-}
-
-double RtmpBackend::cpu_percent(
-    std::uint32_t viewers, const DeliveryCadence& cadence) const noexcept {
-  return model_.rtmp_cpu_percent(viewers, cadence.fps);
-}
-
-// --- HLS ---------------------------------------------------------------
-
-DurationUs HlsBackend::delivery_interval(
-    const DeliveryCadence& cadence) const noexcept {
-  if (cadence.poll_interval_s <= 0) return 0;
-  return time::from_seconds(cadence.poll_interval_s);
-}
-
-double HlsBackend::serve_cost_us(
-    const DeliveryCadence& cadence) const noexcept {
-  if (cadence.poll_interval_s <= 0 || cadence.chunk_duration_s <= 0)
-    return 0.0;
-  return model_.poll_serve_us + model_.chunk_serve_us *
-                                    cadence.chunk_duration_s /
-                                    cadence.poll_interval_s;
-}
-
-double HlsBackend::cpu_percent(
-    std::uint32_t viewers, const DeliveryCadence& cadence) const noexcept {
-  return model_.hls_cpu_percent(viewers, cadence.fps,
-                                cadence.poll_interval_s,
-                                cadence.chunk_duration_s);
-}
-
-// --- LL-HLS ------------------------------------------------------------
-
-DurationUs LlHlsBackend::delivery_interval(
-    const DeliveryCadence& cadence) const noexcept {
-  if (cadence.part_duration_s <= 0) return 0;
-  return time::from_seconds(cadence.part_duration_s);
-}
-
-double LlHlsBackend::serve_cost_us(
-    const DeliveryCadence& cadence) const noexcept {
-  if (cadence.part_duration_s <= 0 || cadence.chunk_duration_s <= 0)
-    return 0.0;
-  return model_.poll_serve_us + model_.held_poll_us +
-         model_.chunk_serve_us * cadence.part_duration_s /
-             cadence.chunk_duration_s;
-}
-
-double LlHlsBackend::cpu_percent(
-    std::uint32_t viewers, const DeliveryCadence& cadence) const noexcept {
-  return model_.llhls_cpu_percent(viewers, cadence.fps,
-                                  cadence.part_duration_s,
-                                  cadence.chunk_duration_s);
-}
-
-// --- factory -----------------------------------------------------------
-
-std::unique_ptr<DeliveryBackend> make_backend(DeliveryTier tier,
-                                              const ResourceModel& model) {
-  switch (tier) {
-    case DeliveryTier::kRtmp:
-      return std::make_unique<RtmpBackend>(model);
-    case DeliveryTier::kLlHls:
-      return std::make_unique<LlHlsBackend>(model);
-    case DeliveryTier::kHls:
-      return std::make_unique<HlsBackend>(model);
-  }
-  return nullptr;
-}
-
 }  // namespace livesim::cdn

@@ -57,7 +57,7 @@ void IngestServer::accumulate_part(const media::VideoFrame& frame,
   }
   part_.duration += frame.duration;
   part_.size_bytes += frame.size_bytes;
-  if (part_.duration >= part_duration_) flush_part(now);
+  if (part_.duration >= kLlHlsPartDuration) flush_part(now);
 }
 
 void IngestServer::flush_part(TimeUs now) {
@@ -81,15 +81,16 @@ void EdgeServer::on_expire_notice(std::uint64_t latest_seq) {
     known_latest_seq_ = static_cast<std::int64_t>(latest_seq);
 }
 
-void EdgeServer::respond(std::int64_t client_last_seq,
-                         const PollCallback& cb) {
-  std::vector<media::Chunk> fresh;
-  egress_bytes_ += 1200;  // the playlist response itself
-  for (const auto& c : cache_) {
-    if (static_cast<std::int64_t>(c.seq) > client_last_seq) {
-      cpu_.charge_chunk_serve();
-      egress_bytes_ += c.size_bytes;
-      fresh.push_back(c);
+template <class Unit, class Callback>
+void EdgeServer::respond(const std::vector<Unit>& cache,
+                         std::int64_t client_last, const Callback& cb) {
+  std::vector<Unit> fresh;
+  egress_bytes_ += 1200;  // the playlist (or playlist-delta) response
+  for (const auto& u : cache) {
+    if (static_cast<std::int64_t>(u.seq) > client_last) {
+      cpu_.charge_chunk_serve();  // one download, chunk or part
+      egress_bytes_ += u.size_bytes;
+      fresh.push_back(u);
     }
   }
   cb(sim_.now(), std::move(fresh));
@@ -105,27 +106,13 @@ void EdgeServer::on_poll(std::int64_t client_last_seq, PollCallback cb) {
   ++polls_;
   cpu_.charge_poll();
   if (cached_seq_ >= known_latest_seq_) {
-    respond(client_last_seq, cb);
+    respond(cache_, client_last_seq, cb);
     return;
   }
   // Stale: this poll (or an earlier one) triggers the origin fetch; the
   // poller waits for the fresh content rather than getting stale data.
   waiters_.push_back(Waiter{client_last_seq, std::move(cb)});
   if (!fetching_) start_fetch();
-}
-
-void EdgeServer::respond_parts(std::int64_t client_last_part,
-                               const PartPollCallback& cb) {
-  std::vector<media::Part> fresh;
-  egress_bytes_ += 1200;  // the playlist-delta response itself
-  for (const auto& p : part_cache_) {
-    if (static_cast<std::int64_t>(p.seq) > client_last_part) {
-      cpu_.charge_chunk_serve();  // part download (fraction of a chunk)
-      egress_bytes_ += p.size_bytes;
-      fresh.push_back(p);
-    }
-  }
-  cb(sim_.now(), std::move(fresh));
 }
 
 void EdgeServer::on_part(const media::Part& part) {
@@ -150,7 +137,7 @@ void EdgeServer::on_part(const media::Part& part) {
     if (w.last_part < latest_part_seq_) {
       cpu_.charge_held_poll();
       ++held_releases_;
-      respond_parts(w.last_part, w.cb);
+      respond(part_cache_, w.last_part, w.cb);
     } else {
       held_waiters_.push_back(std::move(w));
     }
@@ -158,7 +145,7 @@ void EdgeServer::on_part(const media::Part& part) {
 }
 
 void EdgeServer::on_part_poll(std::int64_t client_last_part,
-                              DurationUs hold_cap, PartPollCallback cb) {
+                              PartPollCallback cb) {
   if (down_) {
     // Dead PoP: the reload vanishes; the client's timeout drives
     // failover, exactly like a dropped chunk poll.
@@ -168,7 +155,7 @@ void EdgeServer::on_part_poll(std::int64_t client_last_part,
   ++part_polls_;
   cpu_.charge_poll();
   if (latest_part_seq_ > client_last_part) {
-    respond_parts(client_last_part, cb);
+    respond(part_cache_, client_last_part, cb);
     return;
   }
   // Blocking reload: park server-side until the next part arrives or the
@@ -176,8 +163,7 @@ void EdgeServer::on_part_poll(std::int64_t client_last_part,
   const std::uint64_t id = next_held_id_++;
   ++held_polls_;
   held_waiters_.push_back(HeldWaiter{id, client_last_part, std::move(cb)});
-  if (hold_cap < 1) hold_cap = 1;  // a zero park would release "now"
-  sim_.schedule_in(hold_cap, [this, id] {
+  sim_.schedule_in(kLlHlsHoldCap, [this, id] {
     const auto it =
         std::find_if(held_waiters_.begin(), held_waiters_.end(),
                      [id](const HeldWaiter& w) { return w.id == id; });
@@ -186,7 +172,8 @@ void EdgeServer::on_part_poll(std::int64_t client_last_part,
     held_waiters_.erase(it);
     cpu_.charge_held_poll();
     ++held_timeouts_;
-    respond_parts(waiter.last_part, waiter.cb);  // empty: nothing newer
+    // Released empty: nothing newer arrived within the cap.
+    respond(part_cache_, waiter.last_part, waiter.cb);
   });
 }
 
@@ -203,16 +190,16 @@ void EdgeServer::start_fetch(std::uint32_t attempt) {
     if (!result) {
       ++fetch_failures_;
       ++fetch_failure_streak_;
-      if (attempt < max_attempts_) {
+      if (attempt < kFetchAttempts) {
         // Retry with linear backoff; waiters keep waiting.
-        sim_.schedule_in(retry_backoff_ * attempt,
+        sim_.schedule_in(kFetchRetryBackoff * attempt,
                          [this, attempt] { start_fetch(attempt + 1); });
       } else {
         // Give up: serve waiters whatever is cached (possibly stale).
         fetching_ = false;
         auto waiters = std::move(waiters_);
         waiters_.clear();
-        for (auto& w : waiters) respond(w.last_seq, w.cb);
+        for (auto& w : waiters) respond(cache_, w.last_seq, w.cb);
       }
       return;
     }
@@ -237,7 +224,7 @@ void EdgeServer::start_fetch(std::uint32_t attempt) {
 
     auto waiters = std::move(waiters_);
     waiters_.clear();
-    for (auto& w : waiters) respond(w.last_seq, w.cb);
+    for (auto& w : waiters) respond(cache_, w.last_seq, w.cb);
 
     // New chunks may have been announced while the fetch was in flight.
     if (!waiters_.empty() && cached_seq_ < known_latest_seq_) start_fetch();

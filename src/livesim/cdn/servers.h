@@ -19,6 +19,7 @@
 
 #include <memory>
 
+#include "livesim/cdn/delivery_backend.h"
 #include "livesim/cdn/resource_model.h"
 #include "livesim/media/chunker.h"
 #include "livesim/media/frame.h"
@@ -58,14 +59,9 @@ class IngestServer {
 
   // --- LL-HLS partial segments ---
   // Off by default: with no part listener installed the per-frame path
-  // takes no extra branch and charges no extra CPU. `part_duration` must
-  // be strictly positive -- the config boundary
-  // (LlHlsParams::normalized()) clamps degenerate values before they
-  // reach here.
-  void enable_parts(DurationUs part_duration, PartSink sink) {
-    part_duration_ = part_duration < 1 ? 1 : part_duration;
-    part_listener_ = std::move(sink);
-  }
+  // takes no extra branch and charges no extra CPU. Parts close at
+  // kLlHlsPartDuration of media, or earlier at a chunk boundary.
+  void enable_parts(PartSink sink) { part_listener_ = std::move(sink); }
   bool parts_enabled() const noexcept {
     return static_cast<bool>(part_listener_);
   }
@@ -116,7 +112,6 @@ class IngestServer {
   std::uint64_t egress_bytes_ = 0;
   std::uint64_t ingress_bytes_ = 0;
   // LL-HLS part accumulator (active only with a part listener installed).
-  DurationUs part_duration_ = 0;
   media::Part part_;
   bool part_open_ = false;
   std::uint64_t next_part_seq_ = 0;
@@ -141,6 +136,12 @@ class EdgeServer {
   /// client should immediately re-request (preload-hint semantics).
   using PartPollCallback = std::function<void(TimeUs, std::vector<media::Part>)>;
 
+  /// Failed origin fetches retry with linear backoff (attempt k waits
+  /// k * kFetchRetryBackoff); after kFetchAttempts failures the waiters
+  /// get whatever is cached.
+  static constexpr DurationUs kFetchRetryBackoff = 250 * time::kMillisecond;
+  static constexpr std::uint32_t kFetchAttempts = 4;
+
   EdgeServer(sim::Simulator& sim, DatacenterId site, OriginFetchFn fetch,
              const ResourceModel& resources)
       : sim_(sim), site_(site), fetch_(std::move(fetch)), cpu_(resources) {}
@@ -163,17 +164,15 @@ class EdgeServer {
   // Parts are pushed edge-ward by the session as they seal at ingest (no
   // origin fetch on this path -- the push is the CMAF chunked-transfer
   // analog). A blocking reload whose requested part is not yet here parks
-  // server-side and is released by the next on_part() or by its hold-cap
-  // timer (released empty: the client re-requests at once).
+  // server-side and is released by the next on_part() or by its
+  // kLlHlsHoldCap timer (released empty: the client re-requests at once).
 
   /// A partial segment propagated from the ingest reached this edge.
   void on_part(const media::Part& part);
 
   /// A blocking playlist reload. `client_last_part` is the highest part
-  /// sequence the client already has (-1 for none); `hold_cap` bounds the
-  /// server-side park.
-  void on_part_poll(std::int64_t client_last_part, DurationUs hold_cap,
-                    PartPollCallback cb);
+  /// sequence the client already has (-1 for none).
+  void on_part_poll(std::int64_t client_last_part, PartPollCallback cb);
 
   /// When each part became servable at this edge.
   const std::unordered_map<std::uint64_t, TimeUs>& part_availability()
@@ -202,12 +201,6 @@ class EdgeServer {
   }
   /// Bytes served to HLS clients (chunks + playlists).
   std::uint64_t egress_bytes() const noexcept { return egress_bytes_; }
-
-  /// Retry policy for failed origin fetches.
-  void set_retry(DurationUs backoff, std::uint32_t max_attempts) {
-    retry_backoff_ = backoff;
-    max_attempts_ = max_attempts;
-  }
 
   /// Fault injection: drops every cached chunk (a cache node restart).
   /// First-availability timestamps survive (they are measurements, not
@@ -310,9 +303,11 @@ class EdgeServer {
     PartPollCallback cb;
   };
 
-  void respond(std::int64_t client_last_seq, const PollCallback& cb);
-  void respond_parts(std::int64_t client_last_part,
-                     const PartPollCallback& cb);
+  /// Serves every cached unit (chunk or part) newer than the client's
+  /// cursor: the one serve loop of both pull tiers.
+  template <class Unit, class Callback>
+  void respond(const std::vector<Unit>& cache, std::int64_t client_last,
+               const Callback& cb);
   void start_fetch(std::uint32_t attempt = 1);
 
   sim::Simulator& sim_;
@@ -339,8 +334,6 @@ class EdgeServer {
   std::uint64_t peak_attached_ = 0;
   std::uint64_t detach_underflows_ = 0;
   std::unique_ptr<sim::PollWheel> wheel_;
-  DurationUs retry_backoff_ = 250 * time::kMillisecond;
-  std::uint32_t max_attempts_ = 4;
   // LL-HLS part state (untouched by legacy chunk polling).
   std::vector<media::Part> part_cache_;  // sliding window, ordered by seq
   std::unordered_map<std::uint64_t, TimeUs> part_available_;

@@ -267,7 +267,6 @@ TEST_F(EdgeFixture, FetchFailureRetriesThenServes) {
 TEST_F(EdgeFixture, FetchGivesUpAfterMaxAttemptsAndServesStale) {
   add_origin_chunk(0);
   edge_->on_expire_notice(0);
-  edge_->set_retry(100 * time::kMillisecond, 2);
   fail_next_fetches_ = 10;  // origin is down
   bool responded = false;
   std::size_t got = 99;
@@ -278,7 +277,7 @@ TEST_F(EdgeFixture, FetchGivesUpAfterMaxAttemptsAndServesStale) {
   sim_.run();
   EXPECT_TRUE(responded);       // the poller is not left hanging
   EXPECT_EQ(got, 0u);           // ...but gets the (empty) stale cache
-  EXPECT_EQ(edge_->fetch_failures(), 2u);
+  EXPECT_EQ(edge_->fetch_failures(), EdgeServer::kFetchAttempts);
 
   // Origin recovers: the next poll triggers a fresh fetch and succeeds.
   fail_next_fetches_ = 0;

@@ -320,7 +320,6 @@ TEST(EdgeServer, FetchFailureStreakResetsOnSuccess) {
         done(std::vector<media::Chunk>{c});
       },
       cdn::ResourceModel{});
-  edge.set_retry(10 * time::kMillisecond, 10);
 
   bool served = false;
   edge.on_expire_notice(0);
@@ -342,14 +341,13 @@ TEST(EdgeServer, FetchFailureStreakPersistsWhileFailing) {
         done(std::nullopt);
       },
       cdn::ResourceModel{});
-  edge.set_retry(10 * time::kMillisecond, 4);
 
   edge.on_expire_notice(0);
   edge.on_poll(-1, [](TimeUs, std::vector<media::Chunk>) {});
   sim.run();
 
-  EXPECT_EQ(edge.fetch_failures(), 4u);
-  EXPECT_EQ(edge.fetch_failure_streak(), 4u);
+  EXPECT_EQ(edge.fetch_failures(), cdn::EdgeServer::kFetchAttempts);
+  EXPECT_EQ(edge.fetch_failure_streak(), cdn::EdgeServer::kFetchAttempts);
 }
 
 TEST(IngestServer, FrameDropStreakResetsOnIngest) {
