@@ -6,6 +6,18 @@
 
 namespace livesim::core {
 
+namespace {
+// The lag ledger a viewer's feedback is filed under: its tier now, not at
+// join. An ingest crash moves RTMP joiners onto HLS, and their lag is a
+// pull lag from then on; LL-HLS files under the pull ledger too.
+const char* feedback_path(const BroadcastSession& session,
+                          std::size_t viewer_index) {
+  return session.viewer_tier(viewer_index) == cdn::DeliveryTier::kRtmp
+             ? "rtmp"
+             : "hls";
+}
+}  // namespace
+
 LivestreamService::LivestreamService(sim::Simulator& sim,
                                      const geo::DatacenterCatalog& catalog,
                                      Config config)
@@ -250,8 +262,7 @@ void LivestreamService::leave(const ViewerHandle& viewer) {
   it->second->session->remove_viewer(viewer.viewer_index);
 }
 
-void LivestreamService::deliver_feedback(Broadcast& b, const msg::Message& m,
-                                         bool) {
+void LivestreamService::deliver_feedback(Broadcast& b, const msg::Message& m) {
   b.channel->publish(m);
 }
 
@@ -267,8 +278,8 @@ void LivestreamService::send_heart(const ViewerHandle& viewer) {
   m.sent_at = sim_.now();
   // Capture timestamps are absolute simulation time already.
   m.reacts_to_media_ts = *position;
-  m.text = viewer.rtmp ? "rtmp" : "hls";  // path tag for lag attribution
-  deliver_feedback(*b, m, viewer.rtmp);
+  m.text = feedback_path(*b->session, viewer.viewer_index);
+  deliver_feedback(*b, m);
 }
 
 bool LivestreamService::send_comment(const ViewerHandle& viewer,
@@ -287,10 +298,10 @@ bool LivestreamService::send_comment(const ViewerHandle& viewer,
   m.type = msg::MessageType::kComment;
   m.sent_at = sim_.now();
   m.reacts_to_media_ts = *position;
-  m.text = viewer.rtmp ? "rtmp" : "hls";
+  m.text = feedback_path(*b->session, viewer.viewer_index);
   (void)text;  // content is not modeled, only metadata (as in the crawl)
   ++b->info.comments;
-  deliver_feedback(*b, m, viewer.rtmp);
+  deliver_feedback(*b, m);
   return true;
 }
 

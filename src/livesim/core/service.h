@@ -207,7 +207,8 @@ class LivestreamService {
   BroadcastSession* session(BroadcastId id);
 
   /// Feedback lag (seconds) across all hearts delivered so far, split by
-  /// the sender's delivery path.
+  /// the sender's delivery path when it sent: RTMP, or pull (HLS and
+  /// LL-HLS). A viewer that failed over from RTMP files under pull.
   const stats::Accumulator& rtmp_feedback_lag_s() const noexcept {
     return rtmp_lag_;
   }
@@ -281,7 +282,7 @@ class LivestreamService {
                                    std::vector<UserId> invitees);
 
   Broadcast* live_broadcast(BroadcastId id);
-  void deliver_feedback(Broadcast& b, const msg::Message& m, bool via_rtmp);
+  void deliver_feedback(Broadcast& b, const msg::Message& m);
   std::optional<ViewerHandle> join_steered(
       BroadcastId id, UserId viewer, const geo::GeoPoint& location,
       std::span<const std::uint64_t> avoid,

@@ -116,6 +116,32 @@ TEST_F(ServiceFixture, HeartsCountAndCarryFeedbackLag) {
             3.0 * service_.rtmp_feedback_lag_s().mean());
 }
 
+TEST_F(ServiceFixture, FeedbackLagFollowsTheViewersCurrentPath) {
+  const auto id =
+      service_.start_broadcast({37.77, -122.42}, 90 * time::kSecond);
+  std::vector<LivestreamService::ViewerHandle> handles;
+  for (int i = 0; i < 4; ++i)
+    handles.push_back(*service_.join(id, {37.0, -122.0}));
+  ASSERT_TRUE(handles[0].rtmp);
+  ASSERT_FALSE(handles[3].rtmp);
+  // The ingest dies from 15 s to 20 s: the RTMP joiners fail over to HLS
+  // and stay there (no rejoin), so their hearts are pull feedback.
+  fault::FaultSchedule crash;
+  crash.add({15 * time::kSecond, fault::FaultKind::kIngestCrash,
+             5 * time::kSecond});
+  service_.session(id)->inject_faults(crash);
+  sim_.schedule_at(60 * time::kSecond, [&] {
+    for (const auto& h : handles) service_.send_heart(h);
+  });
+  sim_.run();
+
+  for (const auto& v : service_.session(id)->viewer_results())
+    EXPECT_EQ(v.tier, cdn::DeliveryTier::kHls);
+  EXPECT_EQ(service_.info(id)->hearts, 4u);
+  EXPECT_EQ(service_.rtmp_feedback_lag_s().count(), 0u);
+  EXPECT_EQ(service_.hls_feedback_lag_s().count(), 4u);
+}
+
 TEST_F(ServiceFixture, HeartBeforePlaybackStartsIsDropped) {
   const auto id =
       service_.start_broadcast({37.77, -122.42}, 60 * time::kSecond);
