@@ -97,7 +97,9 @@ TimeUs UplinkModel::transmit(TimeUs now, std::size_t bytes) {
 
 TimeUs FifoUplink::send(std::size_t bytes, ArrivalFn on_arrival) {
   const TimeUs arrive = model_.transmit(sim_.now(), bytes);
-  sim_.schedule_at(arrive, [arrive, fn = std::move(on_arrival)] { fn(arrive); });
+  auto deliver = [arrive, fn = std::move(on_arrival)] { fn(arrive); };
+  static_assert(sim::EventFn::fits_inline<decltype(deliver)>());
+  sim_.schedule_at(arrive, std::move(deliver));
   return arrive;
 }
 

@@ -323,8 +323,8 @@ TEST(EdgeServer, FetchFailureStreakResetsOnSuccess) {
 
   bool served = false;
   edge.on_expire_notice(0);
-  edge.on_poll(-1, [&served](TimeUs, std::vector<media::Chunk> cs) {
-    served = !cs.empty();
+  edge.on_poll(-1, [&served](TimeUs, std::uint32_t begin, std::uint32_t end) {
+    served = begin != end;
   });
   sim.run();
 
@@ -343,7 +343,7 @@ TEST(EdgeServer, FetchFailureStreakPersistsWhileFailing) {
       cdn::ResourceModel{});
 
   edge.on_expire_notice(0);
-  edge.on_poll(-1, [](TimeUs, std::vector<media::Chunk>) {});
+  edge.on_poll(-1, [](TimeUs, std::uint32_t, std::uint32_t) {});
   sim.run();
 
   EXPECT_EQ(edge.fetch_failures(), cdn::EdgeServer::kFetchAttempts);

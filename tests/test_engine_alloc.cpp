@@ -3,7 +3,9 @@
 // running events whose captures fit the EventFn inline budget must perform
 // ZERO heap allocations, and PeriodicProcess steady-state ticking must
 // re-arm in place without touching the allocator. It also pins that
-// trace generation allocates per broadcast, not per frame.
+// trace generation allocates per broadcast, not per frame, and that a
+// warm session's pull transactions, RTMP pushes and frame uplink allocate
+// nothing per viewer.
 //
 // This lives in its own test binary because replacing global operator new
 // is a whole-program decision; the main livesim_tests binary stays stock.
@@ -13,11 +15,15 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
 #include "livesim/analysis/experiments.h"
+#include "livesim/core/broadcast_session.h"
+#include "livesim/geo/datacenters.h"
+#include "livesim/net/link.h"
 #include "livesim/sim/simulator.h"
 
 namespace {
@@ -121,6 +127,81 @@ TEST(EngineAllocations, PeriodicSteadyStateTickingIsAllocationFree) {
       << "steady-state periodic ticking allocated";
   proc.stop();
   EXPECT_EQ(ticks_seen, 1006u);
+}
+
+TEST(EngineAllocations, WarmUplinkSendsOfSmallCapturesAreAllocationFree) {
+  Simulator sim;
+  net::FifoUplink uplink(sim, net::LastMileProfiles::stable_uplink(), Rng(1));
+  std::uint64_t sink = 0;
+  constexpr int kWarm = 4096;
+  constexpr int kMeasured = 1024;
+  for (int i = 0; i < kWarm; ++i)
+    uplink.send(1000, [&sink](TimeUs) { ++sink; });
+  sim.run();
+
+  // A 40-byte capture, the size of the session's frame-uplink closure:
+  // send's [arrival, callback] wrapper must still fit the EventFn buffer.
+  const std::uint64_t before = allocation_count();
+  std::uint64_t a = 1, b = 2, c = 3, d = 4;
+  for (int i = 0; i < kMeasured; ++i)
+    uplink.send(1000, [&sink, a, b, c, d](TimeUs) { sink += a + b + c + d; });
+  sim.run();
+  EXPECT_EQ(allocation_count() - before, 0u) << "a warm uplink send allocated";
+  EXPECT_EQ(sink, static_cast<std::uint64_t>(kWarm) + 10u * kMeasured);
+}
+
+// Allocations over [30 s, 50 s) of a 60 s broadcast whose viewers all sit
+// next to the broadcaster, so one edge serves every pull viewer.
+std::uint64_t warm_session_allocations(std::uint32_t rtmp, std::uint32_t llhls,
+                                       std::uint32_t hls) {
+  Simulator sim;
+  // Grow the engine's slot arena and heap past the session's pending
+  // peak first, so the count is the session's own.
+  for (int i = 0; i < 4096; ++i) sim.schedule_at(0, [] {});
+  sim.run();
+  const auto catalog = geo::DatacenterCatalog::paper_footprint();
+  core::SessionConfig cfg;
+  cfg.broadcast_len = 60 * time::kSecond;
+  cfg.rtmp_viewers = rtmp;
+  cfg.llhls_viewers = llhls;
+  cfg.hls_viewers = hls;
+  cfg.global_viewers = false;
+  core::BroadcastSession session(sim, catalog, cfg);
+  session.start();
+  sim.run_until(30 * time::kSecond);
+  const std::uint64_t before = allocation_count();
+  sim.run_until(50 * time::kSecond);
+  return allocation_count() - before;
+}
+
+// Ten times the viewers must allocate no more: what a warm session still
+// allocates is per chunk or per part, never per viewer.
+void expect_no_per_viewer_allocations(std::uint32_t rtmp, std::uint32_t llhls,
+                                      std::uint32_t hls) {
+  const std::uint64_t few = warm_session_allocations(rtmp, llhls, hls);
+  const std::uint64_t many =
+      warm_session_allocations(10 * rtmp, 10 * llhls, 10 * hls);
+  EXPECT_LE(many, few) << "10x the viewers allocated " << many << " times, "
+                       << "1x allocated " << few;
+  std::printf("[ allocs   ] %llu with 1x the viewers, %llu with 10x\n",
+              static_cast<unsigned long long>(few),
+              static_cast<unsigned long long>(many));
+}
+
+TEST(SessionAllocations, WarmHlsPollsAllocateNothingPerViewer) {
+  expect_no_per_viewer_allocations(0, 0, 10);
+}
+
+TEST(SessionAllocations, WarmLlHlsReloadsAllocateNothingPerViewer) {
+  expect_no_per_viewer_allocations(0, 10, 0);
+}
+
+TEST(SessionAllocations, WarmRtmpPushesAllocateNothingPerViewer) {
+  expect_no_per_viewer_allocations(10, 0, 0);
+}
+
+TEST(SessionAllocations, WarmThreeTierSessionAllocatesNothingPerViewer) {
+  expect_no_per_viewer_allocations(10, 10, 10);
 }
 
 TEST(TraceAllocations, GenerateTracesAllocatesPerBroadcastNotPerFrame) {
