@@ -49,7 +49,8 @@ double measured_rtmp_cpu(std::uint32_t viewers) {
   cdn::IngestServer server(sim, DatacenterId{0}, media::Chunker::Params{},
                            cdn::ResourceModel{});
   for (std::uint32_t v = 0; v < viewers; ++v)
-    server.add_rtmp_subscriber([](const media::VideoFrame&, TimeUs) {});
+    server.add_rtmp_subscriber(
+        [](const media::VideoFrame&, TimeUs) { return true; });
   media::FrameSource src({}, Rng(1));
   const DurationUs horizon = 30 * time::kSecond;
   for (TimeUs t = 0; t < horizon; t += 40 * time::kMillisecond)

@@ -107,28 +107,64 @@ INSTANTIATE_TEST_SUITE_P(Chunks, SessionChunkSweep,
                          ::testing::Values(1, 2, 3, 5));
 
 TEST(BroadcastSessionSmoke, ByteAccountingConsistent) {
-  sim::Simulator sim;
   const auto catalog = geo::DatacenterCatalog::paper_footprint();
   core::SessionConfig cfg;
   cfg.broadcast_len = 60 * time::kSecond;
   cfg.rtmp_viewers = 3;
   cfg.hls_viewers = 3;
   cfg.seed = 77;
-  core::BroadcastSession session(sim, catalog, cfg);
-  session.start();
-  sim.run();
+  {
+    sim::Simulator sim;
+    core::BroadcastSession session(sim, catalog, cfg);
+    session.start();
+    sim.run();
 
-  const auto& ingest = session.ingest();
-  // 3 RTMP subscribers: egress = 3x ingress (frame fan-out).
-  EXPECT_EQ(ingest.egress_bytes(), 3 * ingest.ingress_bytes());
-  EXPECT_GT(ingest.ingress_bytes(), 1000000u);  // ~60 s of 400 kbps video
+    const auto& ingest = session.ingest();
+    // 3 RTMP subscribers: egress = 3x ingress (frame fan-out).
+    EXPECT_EQ(ingest.egress_bytes(), 3 * ingest.ingress_bytes());
+    EXPECT_GT(ingest.ingress_bytes(), 1000000u);  // ~60 s of 400 kbps video
 
-  std::uint64_t edge_egress = 0;
-  for (const auto& [site, edge] : session.edges())
-    edge_egress += edge->egress_bytes();
-  // HLS viewers downloaded roughly the stream once each (+ playlists).
-  EXPECT_GT(edge_egress, 2 * ingest.ingress_bytes());
-  EXPECT_LT(edge_egress, 8 * ingest.ingress_bytes());
+    std::uint64_t edge_egress = 0;
+    for (const auto& [site, edge] : session.edges())
+      edge_egress += edge->egress_bytes();
+    // HLS viewers downloaded roughly the stream once each (+ playlists).
+    EXPECT_GT(edge_egress, 2 * ingest.ingress_bytes());
+    EXPECT_LT(edge_egress, 8 * ingest.ingress_bytes());
+  }
+  {
+    // RTMP viewer 0 leaves at 20 s: the ingest pushes it nothing more, so
+    // it is charged nothing more.
+    sim::Simulator sim;
+    core::BroadcastSession session(sim, catalog, cfg);
+    session.start();
+    sim.run_until(20 * time::kSecond);
+    session.remove_viewer(0);
+    const std::uint64_t ingress_at_leave = session.ingest().ingress_bytes();
+    sim.run();
+
+    const auto& ingest = session.ingest();
+    EXPECT_EQ(ingest.egress_bytes(),
+              3 * ingress_at_leave +
+                  2 * (ingest.ingress_bytes() - ingress_at_leave));
+  }
+  {
+    // An ingest crash from 15 to 20 s moves all three RTMP viewers to HLS
+    // (detected at 17 s): the restarted ingest pushes to none of them.
+    auto crash_cfg = cfg;
+    crash_cfg.faults.add({15 * time::kSecond, fault::FaultKind::kIngestCrash,
+                          5 * time::kSecond});
+    sim::Simulator sim;
+    core::BroadcastSession session(sim, catalog, crash_cfg);
+    session.start();
+    sim.run_until(19 * time::kSecond);
+    const std::uint64_t ingress_at_crash = session.ingest().ingress_bytes();
+    sim.run();
+
+    const auto& ingest = session.ingest();
+    EXPECT_EQ(session.rtmp_failovers(), 3u);
+    EXPECT_GT(ingest.ingress_bytes(), ingress_at_crash);  // it restarted
+    EXPECT_EQ(ingest.egress_bytes(), 3 * ingress_at_crash);
+  }
 }
 
 }  // namespace
