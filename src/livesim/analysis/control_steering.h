@@ -6,15 +6,15 @@
 // four-phase spill driver over the identical workload (same traces, same
 // blackout, same draws) with the control plane's scrape/steer model
 // layered on top: the HealthMonitor's first scrape tick strictly after
-// the outage sees the dark edges, and steer_latency later the
+// the outage sees the dark edges, and control::kSteerLatency later the
 // anycast-map override is routing-visible — from that instant an
 // affected viewer's next poll re-anycasts immediately instead of burning
 // its detect window.
 //
 // The proactive decision instant is clamped to [first dark poll, first
-// dark poll + detect_timeout]: the client timeout stays as the fallback,
-// so proactive detection can never be slower than reactive — the
-// dominance contract bench_control_steering pins per grid cell.
+// dark poll + cdn::kFailoverDetectTimeout]: the client timeout stays as
+// the fallback, so proactive detection can never be slower than reactive
+// — the dominance contract bench_control_steering pins per grid cell.
 //
 // With control.enabled == false there is no clamp and the experiment's
 // spill stats equal capacity_spill_experiment's bit for bit.
@@ -54,7 +54,7 @@ struct ControlSteeringStats {
   stats::Sampler proactive_detect_s;
 
   /// Engine time the anycast override became routing-visible (first
-  /// scrape tick strictly after the outage + steer_latency); 0 when the
+  /// scrape tick strictly after the outage + kSteerLatency); 0 when the
   /// control plane is disabled.
   TimeUs steer_published_at = 0;
   /// Whether the steered detection model was applied.

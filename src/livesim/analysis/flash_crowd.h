@@ -83,7 +83,7 @@ struct FlashCrowdConfig {
   /// Sub-shard contract: when sub-shard invariance matters, pin
   /// blackout_at OFF the batch-window grid (e.g. 70.25 s on a 0.5 s
   /// window). A quantized leave landing at exactly blackout_at +
-  /// failover_detect_timeout ties with the detection sweep, and
+  /// cdn::kFailoverDetectTimeout ties with the detection sweep, and
   /// same-instant ordering depends on how the slice's timeline chained
   /// its windows — off-grid instants make the tie impossible.
   bool blackout = true;

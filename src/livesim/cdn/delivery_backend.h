@@ -30,6 +30,13 @@ enum class DeliveryTier : std::uint8_t { kRtmp = 0, kLlHls = 1, kHls = 2 };
 /// Stable lowercase names for logs, JSON, and test diagnostics.
 const char* tier_name(DeliveryTier tier) noexcept;
 
+/// The app's free-running HLS playlist poll interval (§5.2 measured
+/// 2-2.8 s): the session's viewers, the outage replays and the cost
+/// curves all poll at it.
+inline constexpr DurationUs kHlsPollInterval = time::from_seconds(2.8);
+/// How long a dead connection (RTMP ingest or HLS edge) goes unnoticed
+/// before the client fails over: socket timeout plus app reaction.
+inline constexpr DurationUs kFailoverDetectTimeout = 2 * time::kSecond;
 /// LL-HLS partial-segment cadence: the ingest seals a part about every
 /// kLlHlsPartDuration of media.
 inline constexpr DurationUs kLlHlsPartDuration = 1 * time::kSecond;
@@ -42,7 +49,7 @@ inline constexpr DurationUs kLlHlsHoldCap = 3 * time::kSecond;
 /// only fps; HLS ignores part_duration_s.
 struct DeliveryCadence {
   double fps = 25.0;
-  double poll_interval_s = 2.8;  // free-running HLS playlist polling
+  double poll_interval_s = time::to_seconds(kHlsPollInterval);
   double chunk_duration_s = 3.0;
   double part_duration_s = time::to_seconds(kLlHlsPartDuration);
 };

@@ -25,12 +25,8 @@ class W2FModel {
     double jitter_fraction = 0.20;
   };
 
-  W2FModel(const geo::DatacenterCatalog& catalog, geo::LatencyModel latency,
-           Params params)
-      : catalog_(catalog), latency_(latency), params_(params) {}
-
   W2FModel(const geo::DatacenterCatalog& catalog, geo::LatencyModel latency)
-      : W2FModel(catalog, latency, Params{}) {}
+      : catalog_(catalog), latency_(latency) {}
 
   /// The gateway edge for an ingest site: its co-located edge if one
   /// exists (6 of 8 sites), else the nearest edge (the Sao Paulo case).
@@ -46,7 +42,7 @@ class W2FModel {
  private:
   const geo::DatacenterCatalog& catalog_;
   geo::LatencyModel latency_;
-  Params params_;
+  Params params_{};
 };
 
 }  // namespace livesim::cdn

@@ -21,7 +21,7 @@
 
 #include <cstdint>
 
-#include "livesim/overlay/mesh.h"
+#include "livesim/cdn/delivery_backend.h"
 #include "livesim/util/time.h"
 
 namespace livesim::control {
@@ -31,46 +31,43 @@ struct ControlPlaneConfig {
   /// is scraped, no RNG is forked — existing experiments reproduce bit
   /// for bit.
   bool enabled = false;
-
-  /// Scrape cadence: the monitor samples every edge's telemetry this
-  /// often. The proactive detection window for a silent death is at most
-  /// one scrape interval plus steer_latency — set it well under the
-  /// client failover_detect_timeout or there is nothing proactive about
-  /// it.
-  DurationUs scrape_interval = 500 * time::kMillisecond;
-
-  /// Decision -> the updated anycast map is live at the routing layer
-  /// (map push + propagation). Health transitions publish after this
-  /// delay; until then routing still sees the previous state.
-  DurationUs steer_latency = 100 * time::kMillisecond;
-
-  /// Ring capacity of each per-edge telemetry ledger (scrapes kept).
-  std::uint32_t history = 64;
-
-  /// Drain when attached >= drain_load_fraction * capacity (finite
-  /// capacity only; capacity 0 = unbounded edges never drain on load).
-  double drain_load_fraction = 0.9;
-  /// Hysteresis: a draining edge recovers only once attached falls to
-  /// undrain_load_fraction * capacity or below (and its streak is clean).
-  double undrain_load_fraction = 0.7;
-  /// Drain when the origin-fetch failure streak reaches this many
-  /// consecutive failures (0 disables the streak trigger).
-  std::uint32_t drain_failure_streak = 3;
-  /// Trend trigger: drain when the load ledger's least-squares slope
-  /// projects attached >= capacity within this horizon (0 disables).
-  DurationUs trend_horizon = 5 * time::kSecond;
-  /// A drained edge stays drained at least this long (flap damping).
-  DurationUs drain_cooldown = 2 * time::kSecond;
-
   /// Overlay assist: when the live-edge footprint saturates (the
   /// fraction of scraped edges that are draining, dead, or full reaches
-  /// saturation_fraction), the control plane activates the overlay/ P2P
+  /// kSaturationFraction), the control plane activates the overlay P2P
   /// mesh as an edge-offload escape valve: failovers that would orphan
   /// purely for capacity reasons are parked on the mesh instead.
   bool overlay_assist = false;
-  double saturation_fraction = 0.5;
-  overlay::P2PMesh::Params mesh{};
 };
+
+/// Scrape cadence: the monitor samples every edge's telemetry this often.
+inline constexpr DurationUs kScrapeInterval = 500 * time::kMillisecond;
+/// Decision -> the updated anycast map is live at the routing layer (map
+/// push + propagation). Health transitions publish after this delay;
+/// until then routing still sees the previous state.
+inline constexpr DurationUs kSteerLatency = 100 * time::kMillisecond;
+// The proactive detection window for a silent death is at most one scrape
+// plus the steer latency; at or past the client's own timeout there would
+// be nothing proactive about it.
+static_assert(kScrapeInterval + kSteerLatency < cdn::kFailoverDetectTimeout);
+
+/// Ring capacity of each per-edge telemetry ledger (scrapes kept).
+inline constexpr std::uint32_t kHistory = 64;
+/// Drain when attached >= kDrainLoadFraction * capacity (finite capacity
+/// only; capacity 0 = unbounded edges never drain on load).
+inline constexpr double kDrainLoadFraction = 0.9;
+/// Hysteresis: a draining edge recovers only once attached falls to
+/// kUndrainLoadFraction * capacity or below (and its streak is clean).
+inline constexpr double kUndrainLoadFraction = 0.7;
+/// Drain when the origin-fetch failure streak reaches this many
+/// consecutive failures.
+inline constexpr std::uint32_t kDrainFailureStreak = 3;
+/// Trend trigger: drain when the load ledger's least-squares slope
+/// projects attached >= capacity within this horizon.
+inline constexpr DurationUs kTrendHorizon = 5 * time::kSecond;
+/// A drained edge stays drained at least this long (flap damping).
+inline constexpr DurationUs kDrainCooldown = 2 * time::kSecond;
+/// Footprint saturation that arms the overlay assist.
+inline constexpr double kSaturationFraction = 0.5;
 
 /// One edge's telemetry at one scrape tick. The scrape source (the
 /// session layer) builds these in sorted-site-id order.

@@ -7,7 +7,7 @@ namespace livesim::control {
 void HealthMonitor::ingest(const EdgeSample& sample, TimeUs now) {
   auto it = ledgers_.find(sample.site);
   if (it == ledgers_.end())
-    it = ledgers_.emplace(sample.site, EdgeLedger(history_)).first;
+    it = ledgers_.emplace(sample.site, EdgeLedger(kHistory)).first;
   EdgeLedger& led = it->second;
   led.load.push(now, static_cast<double>(sample.attached));
   led.streak.push(now, static_cast<double>(sample.failure_streak));
@@ -30,17 +30,13 @@ const HealthMonitor::EdgeLedger* HealthMonitor::ledger(
 
 ControlPlane::ControlPlane(sim::Simulator& sim, ControlPlaneConfig config,
                            Rng rng)
-    : sim_(sim),
-      config_(config),
-      rng_(rng),
-      monitor_(config.history),
-      policy_(config) {}
+    : sim_(sim), config_(config), rng_(rng) {}
 
 void ControlPlane::start(ScrapeFn scrape) {
   scrape_fn_ = std::move(scrape);
   if (process_) return;
   process_ = std::make_unique<sim::PeriodicProcess>(
-      sim_, sim_.now() + config_.scrape_interval, config_.scrape_interval,
+      sim_, sim_.now() + kScrapeInterval, kScrapeInterval,
       [this](sim::PeriodicProcess&) { scrape_tick(); });
 }
 
@@ -63,10 +59,10 @@ void ControlPlane::scrape_tick() {
   for (const EdgeSample& sample : scrape_fn_()) {
     monitor_.ingest(sample, now);
     const double projected =
-        monitor_.projected_load(sample.site, config_.trend_horizon);
+        monitor_.projected_load(sample.site, kTrendHorizon);
     if (auto t = policy_.observe(sample, projected, now)) {
       const SteeringPolicy::Transition decided = *t;
-      sim_.schedule_in(config_.steer_latency,
+      sim_.schedule_in(kSteerLatency,
                        [this, decided] { publish(decided); });
     }
   }
@@ -74,7 +70,7 @@ void ControlPlane::scrape_tick() {
   // mesh, once bootstrapped, keeps absorbing offload) — disarming and
   // re-warming a P2P mesh per oscillation would be worse than the drain.
   if (config_.overlay_assist && !assist_active_ &&
-      policy_.saturation() >= config_.saturation_fraction) {
+      policy_.saturation() >= kSaturationFraction) {
     assist_active_ = true;
     assist_armed_at_ = now;
   }

@@ -3,13 +3,13 @@
 // The HealthMonitor is a passive ledger bank: one ring-buffer
 // stats::Timeseries pair (load, failure streak) per edge site, fed one
 // EdgeSample per edge per scrape. It answers the trend questions the
-// SteeringPolicy asks ("where will this edge's load be in trend_horizon
-// seconds?") without the policy ever touching raw history.
+// SteeringPolicy asks ("where will this edge's load be kTrendHorizon
+// from now?") without the policy ever touching raw history.
 //
 // The ControlPlane is the active umbrella: it owns a PeriodicProcess on
 // the slot-arena engine that calls the installed scrape function every
-// scrape_interval, feeds the samples through monitor + policy, and
-// publishes each health transition steer_latency later (anycast map
+// kScrapeInterval, feeds the samples through monitor + policy, and
+// publishes each health transition kSteerLatency later (anycast map
 // push + propagation). Only *published* state is routing-visible:
 // avoid(site) is what LivestreamService consults when ranking edges,
 // and a published death fires the steer callback so attached viewers
@@ -40,8 +40,9 @@
 
 namespace livesim::control {
 
-/// Per-edge telemetry ledger bank. Pure bookkeeping: no clock, no
-/// engine, no policy — just rings and the projections over them.
+/// Per-edge telemetry ledger bank: rings of kHistory scrapes. Pure
+/// bookkeeping: no clock, no engine, no policy — just rings and the
+/// projections over them.
 class HealthMonitor {
  public:
   struct EdgeLedger {
@@ -51,9 +52,6 @@ class HealthMonitor {
     std::uint64_t last_fetch_failures = 0;
     EdgeLedger(std::size_t cap) : load(cap), streak(cap) {}
   };
-
-  explicit HealthMonitor(std::uint32_t history)
-      : history_(history == 0 ? 1 : history) {}
 
   /// Records one edge's sample at scrape time `now`.
   void ingest(const EdgeSample& sample, TimeUs now);
@@ -67,7 +65,6 @@ class HealthMonitor {
   std::uint64_t samples() const noexcept { return samples_; }
 
  private:
-  std::uint32_t history_;
   std::map<std::uint64_t, EdgeLedger> ledgers_;  // sorted-id iteration
   std::uint64_t samples_ = 0;
 };
@@ -91,12 +88,12 @@ class ControlPlane {
   ControlPlane(const ControlPlane&) = delete;
   ControlPlane& operator=(const ControlPlane&) = delete;
 
-  /// Begins scraping: first tick at now + scrape_interval, then every
-  /// scrape_interval on the engine clock.
+  /// Begins scraping: first tick at now + kScrapeInterval, then every
+  /// kScrapeInterval on the engine clock.
   void start(ScrapeFn scrape);
   void stop();
 
-  /// Fired steer_latency after a transition is decided, once it is
+  /// Fired kSteerLatency after a transition is decided, once it is
   /// routing-visible. Install before start() for deterministic replay.
   void set_steer_fn(SteerFn fn) { steer_ = std::move(fn); }
 
@@ -114,13 +111,12 @@ class ControlPlane {
   EdgeHealth published_health(std::uint64_t site) const;
 
   /// True once the footprint saturation signal (fraction of scraped
-  /// edges draining/dead/full) has reached saturation_fraction and the
+  /// edges draining/dead/full) has reached kSaturationFraction and the
   /// config arms the overlay assist.
   bool overlay_assist_active() const noexcept { return assist_active_; }
   /// Engine time the assist first armed (0 = never).
   TimeUs assist_armed_at() const noexcept { return assist_armed_at_; }
 
-  const ControlPlaneConfig& config() const noexcept { return config_; }
   const HealthMonitor& monitor() const noexcept { return monitor_; }
   const SteeringPolicy& policy() const noexcept { return policy_; }
   std::uint64_t scrapes() const noexcept { return scrapes_; }

@@ -20,14 +20,11 @@ std::optional<SteeringPolicy::Transition> SteeringPolicy::observe(
       const bool load_hot =
           sample.capacity != 0 &&
           static_cast<double>(sample.attached) >=
-              config_.drain_load_fraction *
-                  static_cast<double>(sample.capacity);
+              kDrainLoadFraction * static_cast<double>(sample.capacity);
       const bool trending =
-          sample.capacity != 0 && config_.trend_horizon > 0 &&
+          sample.capacity != 0 &&
           projected_load >= static_cast<double>(sample.capacity);
-      const bool streak_hot = config_.drain_failure_streak != 0 &&
-                              sample.failure_streak >=
-                                  config_.drain_failure_streak;
+      const bool streak_hot = sample.failure_streak >= kDrainFailureStreak;
       if (load_hot || trending || streak_hot) after = EdgeHealth::kDraining;
       break;
     }
@@ -43,10 +40,9 @@ std::optional<SteeringPolicy::Transition> SteeringPolicy::observe(
       const bool load_ok =
           sample.capacity == 0 ||
           static_cast<double>(sample.attached) <=
-              config_.undrain_load_fraction *
-                  static_cast<double>(sample.capacity);
+              kUndrainLoadFraction * static_cast<double>(sample.capacity);
       const bool streak_ok = sample.failure_streak == 0;
-      const bool cooled = now >= st.drained_at + config_.drain_cooldown;
+      const bool cooled = now >= st.drained_at + kDrainCooldown;
       if (load_ok && streak_ok && cooled) after = EdgeHealth::kHealthy;
       break;
     }

@@ -9,8 +9,8 @@
 //   dead --(probe answers again)--------------> draining (cooldown holds)
 //
 // A transition is a *decision*; it becomes routing-visible only when the
-// owner (ControlPlane) publishes it after ControlPlaneConfig::steer_latency
-// — the policy itself just records decisions deterministically. The
+// owner (ControlPlane) publishes it kSteerLatency later — the policy
+// itself just records decisions deterministically. The
 // published override set ("avoid these sites") is the anycast-map
 // override the paper-era platform would push to its DNS/anycast tier.
 #ifndef LIVESIM_CONTROL_STEERING_H
@@ -35,11 +35,8 @@ class SteeringPolicy {
     TimeUs decided_at = 0;
   };
 
-  explicit SteeringPolicy(const ControlPlaneConfig& config)
-      : config_(config) {}
-
   /// Feeds one edge's scrape sample. `projected_load` is the load
-  /// ledger's linear projection at now + trend_horizon (the monitor owns
+  /// ledger's linear projection at now + kTrendHorizon (the monitor owns
   /// the ledgers; the policy only sees the projection). Returns the
   /// transition decided this tick, if any.
   std::optional<Transition> observe(const EdgeSample& sample,
@@ -73,7 +70,6 @@ class SteeringPolicy {
     bool full = false;      // last sample's attached >= capacity
   };
 
-  ControlPlaneConfig config_;
   std::map<std::uint64_t, EdgeState> edges_;  // sorted: deterministic scans
   std::vector<Transition> transitions_;
   std::uint64_t drains_ = 0;

@@ -88,7 +88,7 @@ EdgeSample sample(std::uint64_t site, std::uint64_t attached,
 }
 
 TEST(SteeringPolicy, DownSampleKillsEdge) {
-  SteeringPolicy p{ControlPlaneConfig{}};
+  SteeringPolicy p;
   auto t = p.observe(sample(7, 0, 0, 0, /*down=*/true), 0.0, time::kSecond);
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(t->from, EdgeHealth::kHealthy);
@@ -100,7 +100,7 @@ TEST(SteeringPolicy, DownSampleKillsEdge) {
 }
 
 TEST(SteeringPolicy, DrainsAtLoadFraction) {
-  SteeringPolicy p{ControlPlaneConfig{}};  // drain_load_fraction = 0.9
+  SteeringPolicy p;  // kDrainLoadFraction = 0.9
   EXPECT_FALSE(p.observe(sample(1, 8, 10), 8.0, 0).has_value());
   auto t = p.observe(sample(1, 9, 10), 9.0, time::kSecond);
   ASSERT_TRUE(t.has_value());
@@ -111,7 +111,7 @@ TEST(SteeringPolicy, DrainsAtLoadFraction) {
 TEST(SteeringPolicy, DrainsOnTrendProjection) {
   // Low load now, but the ledger's projection crosses capacity within
   // the horizon: drain before the edge actually fills.
-  SteeringPolicy p{ControlPlaneConfig{}};
+  SteeringPolicy p;
   EXPECT_FALSE(p.observe(sample(1, 2, 10), 9.5, 0).has_value());
   auto t = p.observe(sample(1, 3, 10), 10.5, time::kSecond);
   ASSERT_TRUE(t.has_value());
@@ -119,7 +119,7 @@ TEST(SteeringPolicy, DrainsOnTrendProjection) {
 }
 
 TEST(SteeringPolicy, DrainsOnFailureStreakEvenUnbounded) {
-  SteeringPolicy p{ControlPlaneConfig{}};  // drain_failure_streak = 3
+  SteeringPolicy p;  // kDrainFailureStreak = 3
   EXPECT_FALSE(p.observe(sample(1, 0, 0, 2), 0.0, 0).has_value());
   auto t = p.observe(sample(1, 0, 0, 3), 0.0, time::kSecond);
   ASSERT_TRUE(t.has_value());
@@ -127,8 +127,7 @@ TEST(SteeringPolicy, DrainsOnFailureStreakEvenUnbounded) {
 }
 
 TEST(SteeringPolicy, UndrainNeedsHysteresisAndCooldown) {
-  ControlPlaneConfig cfg;  // undrain at <= 0.7 * cap, cooldown 2 s
-  SteeringPolicy p{cfg};
+  SteeringPolicy p;  // undrain at <= 0.7 * cap, cooldown 2 s
   ASSERT_TRUE(p.observe(sample(1, 9, 10), 9.0, 0).has_value());  // drain @ 0
 
   // Load above the undrain fraction: pinned draining.
@@ -147,7 +146,7 @@ TEST(SteeringPolicy, UndrainNeedsHysteresisAndCooldown) {
 }
 
 TEST(SteeringPolicy, DeadRevivesThroughDrainingNotHealthy) {
-  SteeringPolicy p{ControlPlaneConfig{}};
+  SteeringPolicy p;
   ASSERT_TRUE(p.observe(sample(1, 0, 0, 0, true), 0.0, 0).has_value());
   // The probe answers again: the box re-enters via draining — a revived
   // edge must EARN healthy through the same hysteresis as any drain.
@@ -165,7 +164,7 @@ TEST(SteeringPolicy, DeadRevivesThroughDrainingNotHealthy) {
 }
 
 TEST(SteeringPolicy, SaturationCountsUnhealthyAndFullEdges) {
-  SteeringPolicy p{ControlPlaneConfig{}};
+  SteeringPolicy p;
   p.observe(sample(1, 1, 10), 1.0, 0);             // healthy, not full
   p.observe(sample(2, 0, 0, 0, true), 0.0, 0);     // dead
   EXPECT_DOUBLE_EQ(p.saturation(), 0.5);
@@ -176,7 +175,7 @@ TEST(SteeringPolicy, SaturationCountsUnhealthyAndFullEdges) {
 // --- HealthMonitor: ledgers + projection -------------------------------
 
 TEST(HealthMonitor, LedgersTrackLoadAndProject) {
-  control::HealthMonitor m(16);
+  control::HealthMonitor m;
   for (int i = 0; i < 4; ++i) {
     EdgeSample s = sample(5, static_cast<std::uint64_t>(3 * i), 100);
     s.cohort = 7;
@@ -211,7 +210,7 @@ TEST(ControlPlane, PublicationLagsDecisionBySteerLatency) {
   });
 
   // First scrape at 500 ms decides the death; the override becomes
-  // routing-visible only at 600 ms (steer_latency later).
+  // routing-visible only at 600 ms (kSteerLatency later).
   bool avoided_before_publish = true;
   bool avoided_after_publish = false;
   EdgeHealth published_after = EdgeHealth::kHealthy;
@@ -252,7 +251,7 @@ TEST(ControlPlane, SteerCallbackFiresOnPublication) {
 
   ASSERT_EQ(steered.size(), 1u);
   EXPECT_EQ(steered[0].first,
-            500 * time::kMillisecond + cfg.steer_latency);
+            500 * time::kMillisecond + control::kSteerLatency);
   EXPECT_EQ(steered[0].second, EdgeHealth::kDead);
 }
 
@@ -260,7 +259,6 @@ TEST(ControlPlane, OverlayAssistArmsOnceAndStaysArmed) {
   sim::Simulator sim;
   ControlPlaneConfig cfg;
   cfg.overlay_assist = true;
-  cfg.saturation_fraction = 0.5;
   ControlPlane cp(sim, cfg, Rng(1));
 
   // One of two edges dark at the first scrape, both fine afterwards:

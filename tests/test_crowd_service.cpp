@@ -532,10 +532,8 @@ TEST(FlashCrowdSubShard, ReattachLedgerScoresEveryRefugeeOnce) {
   ASSERT_GT(stats.edge_failovers, 0u);
   EXPECT_EQ(stats.reattach_latency_s.count(), stats.edge_failovers);
   // Quantize-to-next-slot bound: under one poll interval plus a slot.
-  const auto& s = sub_shard_config(1, 2).session;
-  const double bound_s =
-      time::to_seconds(s.hls_poll_interval) *
-      (1.0 + 1.0 / core::kPollWheelSlots);
+  const double bound_s = time::to_seconds(cdn::kHlsPollInterval) *
+                         (1.0 + 1.0 / core::kPollWheelSlots);
   EXPECT_GT(stats.reattach_latency_s.min(), 0.0);
   EXPECT_LE(stats.reattach_latency_s.max(), bound_s);
 }
