@@ -63,6 +63,23 @@ TEST_F(ServiceFixture, SlotPolicyFirstComersGetRtmp) {
   sim_.run();
 }
 
+// Viewers join a service broadcast only through join(): the session
+// defaults' static viewer counts, LL-HLS included, start nobody.
+TEST(LivestreamService, SessionDefaultViewerCountsStartNoViewers) {
+  sim::Simulator sim;
+  const auto catalog = geo::DatacenterCatalog::paper_footprint();
+  LivestreamService::Config cfg;
+  cfg.session_defaults.rtmp_viewers = 5;
+  cfg.session_defaults.llhls_viewers = 5;
+  cfg.session_defaults.hls_viewers = 5;
+  LivestreamService service(sim, catalog, cfg);
+  const auto id = service.start_broadcast({37.77, -122.42}, time::kMinute);
+  EXPECT_EQ(service.session(id)->viewer_count(), 0u);
+  const auto info = service.info(id);
+  EXPECT_EQ(info->rtmp_viewers + info->llhls_viewers + info->hls_viewers, 0u);
+  sim.run();
+}
+
 TEST_F(ServiceFixture, JoinDeadBroadcastFails) {
   const auto id =
       service_.start_broadcast({37.77, -122.42}, 10 * time::kSecond);
