@@ -244,11 +244,6 @@ class LivestreamService {
 
   /// Drain decisions (healthy -> draining) across all sessions.
   std::uint64_t control_drains() const;
-  /// Viewers proactively migrated off a published-dead edge before their
-  /// own client timeout noticed.
-  std::uint64_t proactive_migrations() const;
-  /// Capacity orphans parked on the overlay-assist mesh.
-  std::uint64_t overlay_assists() const;
   /// Organic joins routed around a published drain/dead verdict (their
   /// nearest live edge was under an override, own-session or another
   /// session's, so they landed farther out).
