@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "livesim/cdn/w2f.h"
 #include "livesim/client/playback.h"
 #include "livesim/media/chunker.h"
 #include "livesim/media/encoder.h"
