@@ -16,7 +16,6 @@
 
 int main() {
   using namespace livesim;
-  const cdn::ResourceModel model;
 
   stats::print_banner(
       "Ablation: chunk size vs delay vs server load (300 HLS viewers)");
@@ -46,7 +45,7 @@ int main() {
     const double buffer_s = 2.0 * chunk_s;
     const double e2e = 0.3 + chunking.mean() + 0.3 +
                        polling.per_broadcast_mean_s.mean() + buffer_s;
-    const double cpu = model.hls_cpu_percent(
+    const double cpu = cdn::hls_cpu_percent(
         300, 25.0, time::to_seconds(poll), chunking.mean());
 
     table.add_row({stats::Table::num(chunk_s, 0) + "s",

@@ -25,7 +25,7 @@ struct MeshRun {
 
 MeshRun run_mesh(std::uint32_t viewers, std::uint64_t seed) {
   sim::Simulator sim;
-  overlay::P2PMesh mesh(sim, {}, Rng(seed));
+  overlay::P2PMesh mesh(sim, Rng(seed));
   for (std::uint32_t i = 0; i < viewers; ++i)
     mesh.join([](const media::Chunk&, TimeUs, std::uint32_t) {});
   media::Chunk c;
@@ -58,10 +58,7 @@ TreeRun run_tree(std::uint32_t viewers, std::uint64_t seed) {
   const auto root =
       catalog.nearest({37.77, -122.42}, geo::CdnRole::kIngest).id;
   overlay::ForwardingHierarchy hierarchy(catalog, root);
-  overlay::MulticastTree::Params p;
-  p.interdc_link.bandwidth_bps = 1e9;
-  p.viewer_last_mile = net::LastMileProfiles::wifi();
-  overlay::MulticastTree tree(sim, catalog, hierarchy, p, Rng(seed));
+  overlay::MulticastTree tree(sim, catalog, hierarchy, Rng(seed));
 
   stats::Accumulator delay;
   Rng rng(seed + 1);
@@ -74,7 +71,7 @@ TreeRun run_tree(std::uint32_t viewers, std::uint64_t seed) {
   }
   sim.run();  // all grafts complete
 
-  media::FrameSource src({}, Rng(seed + 2));
+  media::FrameSource src(Rng(seed + 2));
   const int kFrames = 100;
   const auto ops_before = tree.forward_operations();
   for (int i = 0; i < kFrames; ++i) {
@@ -100,7 +97,6 @@ TreeRun run_tree(std::uint32_t viewers, std::uint64_t seed) {
 
 int main() {
   using namespace livesim;
-  const cdn::ResourceModel model;
   // Fig-11-class end-to-end delays for the deployed paths.
   const double rtmp_delay = 1.3, hls_delay = 11.0;
 
@@ -113,18 +109,18 @@ int main() {
     // RTMP unicast: ingest pushes 25 fps to every viewer.
     table.add_row({stats::Table::integer(v), "RTMP unicast",
                    stats::Table::num(rtmp_delay, 1),
-                   stats::Table::num(model.rtmp_cpu_percent(v, 25.0), 1),
+                   stats::Table::num(cdn::rtmp_cpu_percent(v, 25.0), 1),
                    "1 conn/viewer @ ingest", "yes"});
     // HLS polling.
     table.add_row({stats::Table::integer(v), "HLS polling",
                    stats::Table::num(hls_delay, 1),
                    stats::Table::num(
-                       model.hls_cpu_percent(v, 25.0, 2.8, 3.0), 1),
+                       cdn::hls_cpu_percent(v, 25.0, 2.8, 3.0), 1),
                    "none (stateless polls)", "no (10+ s lag)"});
     // Overlay multicast (simulate a capped cohort, state is region-bound).
     const auto tree = run_tree(std::min(v, 3000u), 17);
     // Ingest work: one 25 fps push per top-level child, not per viewer.
-    const double ingest_cpu = model.rtmp_cpu_percent(
+    const double ingest_cpu = cdn::rtmp_cpu_percent(
         static_cast<std::uint32_t>(tree.root_egress_per_frame), 25.0);
     table.add_row(
         {stats::Table::integer(v), "overlay multicast",
@@ -138,7 +134,7 @@ int main() {
         {stats::Table::integer(v), "P2P mesh (CoolStreaming-like)",
          stats::Table::num(mesh.mean_delay_s, 1),
          stats::Table::num(
-             model.rtmp_cpu_percent(
+             cdn::rtmp_cpu_percent(
                  static_cast<std::uint32_t>(mesh.server_chunks_per_chunk),
                  1.0 / 3.0),
              1),

@@ -27,8 +27,7 @@ struct Strategy {
 int main() {
   using namespace livesim;
   const auto catalog = geo::DatacenterCatalog::paper_footprint();
-  geo::LatencyModel latency;
-  cdn::W2FModel model(catalog, latency);
+  const cdn::W2FModel model(catalog);
   Rng rng(88);
 
   // Popularity distribution: how many edges actually have viewers.
@@ -80,7 +79,7 @@ int main() {
         const DurationUs wait = static_cast<DurationUs>(
             rng.exponential(1.0 / polls_per_s) *
             static_cast<double>(time::kSecond));
-        d += latency.sample_delay(
+        d += geo::sample_delay(
                  catalog.distance_km(ingest->id, edge->id), rng) +
              std::min<DurationUs>(wait, 3 * time::kSecond);
       }

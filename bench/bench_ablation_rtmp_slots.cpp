@@ -18,7 +18,6 @@ int main() {
   const double rtmp_e2e = breakdown.rtmp.total_s();
   const double hls_e2e = breakdown.hls.total_s();
 
-  const cdn::ResourceModel model;
   const std::uint32_t audience = 2000;  // a popular broadcast
 
   stats::print_banner(
@@ -31,9 +30,9 @@ int main() {
     const std::uint32_t hls_v = audience - rtmp_v;
     const double mean_delay =
         (rtmp_v * rtmp_e2e + hls_v * hls_e2e) / audience;
-    const double cpu = model.rtmp_cpu_percent(rtmp_v, 25.0) +
-                       model.hls_cpu_percent(hls_v, 25.0, 2.8, 3.0) -
-                       model.baseline_percent;
+    const double cpu = cdn::rtmp_cpu_percent(rtmp_v, 25.0) +
+                       cdn::hls_cpu_percent(hls_v, 25.0, 2.8, 3.0) -
+                       cdn::kBaselinePercent;
     table.add_row(
         {stats::Table::integer(slots), stats::Table::integer(rtmp_v),
          stats::Table::num(mean_delay, 1),
@@ -47,8 +46,8 @@ int main() {
               "slot costs ~%.2f CPU%% of one core per broadcast; at 100 "
               "slots a single server saturates near %d concurrent popular "
               "broadcasts.\n",
-              rtmp_e2e, hls_e2e, model.frame_push_us * 25.0 / 1e4,
+              rtmp_e2e, hls_e2e, cdn::kFramePushUs * 25.0 / 1e4,
               static_cast<int>(100.0 /
-                               (model.rtmp_cpu_percent(100, 25.0))));
+                               (cdn::rtmp_cpu_percent(100, 25.0))));
   return 0;
 }

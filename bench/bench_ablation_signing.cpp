@@ -18,7 +18,7 @@ namespace {
 using namespace livesim;
 
 std::vector<media::VideoFrame> capture(int n) {
-  media::FrameSource src({}, Rng(1));
+  media::FrameSource src(Rng(1));
   Rng payload(2);
   std::vector<media::VideoFrame> frames;
   for (int i = 0; i < n; ++i) {

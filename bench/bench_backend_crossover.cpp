@@ -10,8 +10,8 @@
 //    delay_breakdown_experiment(4, 42) still hashes to its pin
 //    (analysis::kLegacyBreakdownFingerprint).
 //
-// Part 2 sweeps the Figure-14 server-cost curves (cdn::ResourceModel's
-// per-tier closed forms) and certifies that LL-HLS sits strictly
+// Part 2 sweeps the Figure-14 server-cost curves (the per-tier closed
+// forms in cdn/resource_model.h) and certifies that LL-HLS sits strictly
 // between the two classic tiers once viewers amortise the part
 // pipeline: per-viewer cost above HLS (blocking reloads are work), below
 // RTMP (no per-frame push), with the fixed part-slicing overhead visible
@@ -150,13 +150,10 @@ int main(int argc, char** argv) {
               legacy_fp, analysis::kLegacyBreakdownFingerprint,
               parity_ok ? "yes" : "NO -- BUG");
 
-  // --- Part 2: the Figure-14 cost sweep over the ResourceModel curves ---
+  // --- Part 2: the Figure-14 cost sweep over the closed-form curves ---
   stats::print_banner("Server-cost crossover sweep (Figure 14)");
-  const cdn::ResourceModel model;
-  const cdn::DeliveryCadence cadence;
-  const std::vector<std::uint32_t> counts = {0,  1,  2,   5,   10,  20,
-                                             50, 100, 200, 500, 1000, 2000};
-  const auto sweep = analysis::backend_cost_sweep(model, cadence, counts);
+  const auto sweep = analysis::backend_cost_sweep(
+      {0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000});
   std::uint32_t rtmp_vs_llhls = 0, rtmp_vs_hls = 0;
   bool between_ok = true;
   for (const auto& p : sweep) {

@@ -191,8 +191,10 @@ void write_json(const char* path, const analysis::FlashCrowdConfig& cfg,
   std::fprintf(f,
                "  \"blackout\": {\"center\": [%.2f, %.2f], \"radius_km\": "
                "%.0f, \"at_s\": %.0f, \"duration_s\": %.0f},\n",
-               cfg.blackout_center.lat_deg, cfg.blackout_center.lon_deg,
-               cfg.blackout_radius_km, time::to_seconds(cfg.blackout_at),
+               analysis::kCrowdBlackoutCenter.lat_deg,
+               analysis::kCrowdBlackoutCenter.lon_deg,
+               analysis::kCrowdBlackoutRadiusKm,
+               time::to_seconds(cfg.blackout_at),
                time::to_seconds(cfg.blackout_duration));
   std::fprintf(f, "  \"determinism\": {\"threads\": [");
   for (std::size_t i = 0; i < fps.size(); ++i)

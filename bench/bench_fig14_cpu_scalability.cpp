@@ -46,12 +46,11 @@ std::uint64_t fingerprint(const std::vector<analysis::BroadcastTrace>& traces) {
 // to N subscribers for 30 s and read its CPU meter.
 double measured_rtmp_cpu(std::uint32_t viewers) {
   sim::Simulator sim;
-  cdn::IngestServer server(sim, DatacenterId{0}, media::Chunker::Params{},
-                           cdn::ResourceModel{});
+  cdn::IngestServer server(sim, DatacenterId{0}, media::kChunkTarget);
   for (std::uint32_t v = 0; v < viewers; ++v)
     server.add_rtmp_subscriber(
         [](const media::VideoFrame&, TimeUs) { return true; });
-  media::FrameSource src({}, Rng(1));
+  media::FrameSource src(Rng(1));
   const DurationUs horizon = 30 * time::kSecond;
   for (TimeUs t = 0; t < horizon; t += 40 * time::kMillisecond)
     server.on_frame(src.next());
@@ -61,7 +60,6 @@ double measured_rtmp_cpu(std::uint32_t viewers) {
 
 int main() {
   using namespace livesim;
-  const cdn::ResourceModel model;
 
   stats::print_banner(
       "Figure 14: CPU usage of server using RTMP vs HLS (one broadcast)");
@@ -69,10 +67,10 @@ int main() {
                       "HLS CPU% (model)"});
   for (std::uint32_t v = 100; v <= 500; v += 100) {
     table.add_row({stats::Table::integer(v),
-                   stats::Table::num(model.rtmp_cpu_percent(v, 25.0), 1),
+                   stats::Table::num(cdn::rtmp_cpu_percent(v, 25.0), 1),
                    stats::Table::num(measured_rtmp_cpu(v), 1),
                    stats::Table::num(
-                       model.hls_cpu_percent(v, 25.0, 2.8, 3.0), 1)});
+                       cdn::hls_cpu_percent(v, 25.0, 2.8, 3.0), 1)});
   }
   table.print();
 

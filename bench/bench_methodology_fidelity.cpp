@@ -41,7 +41,7 @@ int main() {
   };
   sim.schedule_in(0, *arrive);
 
-  crawler::ServiceCrawler crawler(sim, service, {}, Rng(316));
+  crawler::ServiceCrawler crawler(sim, service, Rng(316));
   crawler.start();
   crawler.schedule_outage(12 * time::kMinute, 15 * time::kMinute);
   sim.schedule_at(horizon + 5 * time::kMinute, [&] { crawler.stop(); });

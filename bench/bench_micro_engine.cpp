@@ -89,7 +89,7 @@ void BM_WotsVerify(benchmark::State& state) {
 BENCHMARK(BM_WotsVerify);
 
 void BM_RtmpCodecRoundTrip(benchmark::State& state) {
-  media::FrameSource src({}, Rng(1));
+  media::FrameSource src(Rng(1));
   auto frame = src.next();
   frame.payload.assign(frame.size_bytes, 0x5C);
   for (auto _ : state) {
@@ -112,7 +112,7 @@ BENCHMARK(BM_ZipfSample)->Arg(1000)->Arg(1000000);
 
 void BM_StreamSignerPerFrame(benchmark::State& state) {
   const auto seed = security::Sha256::hash(std::string("bench"));
-  media::FrameSource src({}, Rng(1));
+  media::FrameSource src(Rng(1));
   std::vector<media::VideoFrame> frames;
   for (int i = 0; i < 250; ++i) {
     auto f = src.next();

@@ -38,8 +38,7 @@ core::DelayBreakdown run_hls(const ServiceRow& svc, std::uint64_t seed,
     cfg.rtmp_viewers = svc.has_rtmp_viewers ? 1 : 0;
     cfg.hls_viewers = 1;
     cfg.crawler_pollers = true;
-    cfg.chunker.target_duration = time::from_seconds(svc.chunk_seconds);
-    cfg.chunker.max_duration = time::from_seconds(2 * svc.chunk_seconds);
+    cfg.chunk_target = time::from_seconds(svc.chunk_seconds);
     cfg.hls_prebuffer = time::from_seconds(3.0 * svc.chunk_seconds);
     cfg.device_pipeline =
         180 * time::kMillisecond + time::from_millis(svc.upload_overhead_ms);

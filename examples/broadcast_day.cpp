@@ -19,7 +19,8 @@ int main() {
   core::LivestreamService service(sim, catalog, cfg);
 
   // The paper's crawler watches the global list from 20 accounts.
-  crawler::ListCrawler crawler(sim, service.global_list(), {}, Rng(5));
+  crawler::ListCrawler crawler(sim, service.global_list(),
+                               crawler::kAccounts, Rng(5));
   crawler.start();
 
   Rng rng(7);

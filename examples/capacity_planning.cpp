@@ -36,7 +36,6 @@ int main() {
     w.hls_viewers += slot * 200.0 * b.hls_viewers(100);
   }
 
-  const cdn::ResourceModel model;
   stats::print_banner("Capacity plan: Periscope May-Aug 2015 (modeled)");
   stats::Table table({"Week", "Concurrent bcasts", "RTMP viewers",
                       "HLS viewers", "Ingest cores", "Edge cores"});
@@ -49,13 +48,13 @@ int main() {
     const double avg_hls = wk.hls_viewers / wk.concurrent_broadcasts;
     const double ingest_cores =
         wk.concurrent_broadcasts *
-        model.rtmp_cpu_percent(static_cast<std::uint32_t>(avg_rtmp), 25.0) /
+        cdn::rtmp_cpu_percent(static_cast<std::uint32_t>(avg_rtmp), 25.0) /
         100.0;
     const double edge_cores =
         wk.concurrent_broadcasts *
-        (model.hls_cpu_percent(static_cast<std::uint32_t>(avg_hls), 25.0,
+        (cdn::hls_cpu_percent(static_cast<std::uint32_t>(avg_hls), 25.0,
                                2.8, 3.0) -
-         model.baseline_percent) /
+         cdn::kBaselinePercent) /
         100.0;
     table.add_row({stats::Table::integer(static_cast<std::int64_t>(w)),
                    stats::Table::integer(static_cast<std::int64_t>(

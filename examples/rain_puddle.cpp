@@ -50,7 +50,6 @@ int main() {
   for (std::size_t i = 0; i < audience.size() && rtmp < kSlots; ++i) ++rtmp;
   const std::uint64_t hls_total = p.total_viewers - rtmp;
 
-  const cdn::ResourceModel model;
   stats::print_banner("what the infrastructure carries at the peak");
   std::printf("RTMP cohort: %u viewers (joined in the first %.1f s) -- "
               "delay ~1.3 s, may comment\n",
@@ -60,16 +59,16 @@ int main() {
                   .c_str());
   std::printf("ingest CPU:  %.0f%% of one core (RTMP fan-out is capped by "
               "the slot policy)\n",
-              model.rtmp_cpu_percent(rtmp, 25.0));
+              cdn::rtmp_cpu_percent(rtmp, 25.0));
   std::printf("edge CPU:    %.1f cores across the CDN for %s concurrent "
               "HLS pollers at the peak\n",
-              (model.hls_cpu_percent(curve.peak, 25.0, 2.8, 3.0) -
-               model.baseline_percent) / 100.0,
+              (cdn::hls_cpu_percent(curve.peak, 25.0, 2.8, 3.0) -
+               cdn::kBaselinePercent) / 100.0,
               stats::Table::integer(curve.peak).c_str());
   std::printf("\nIf instead everyone got RTMP interactivity: %.0f cores of "
               "frame-pushing at the peak -- the scalability wall that made "
               "Periscope cap interaction at %u viewers.\n",
-              model.rtmp_cpu_percent(curve.peak, 25.0) / 100.0, kSlots);
+              cdn::rtmp_cpu_percent(curve.peak, 25.0) / 100.0, kSlots);
   std::printf("(The §8 overlay tree would serve the same peak from ~24 "
               "forwarding sites; see bench_ablation_overlay_multicast.)\n");
   return 0;

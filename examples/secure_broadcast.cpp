@@ -16,7 +16,7 @@ namespace {
 using namespace livesim;
 
 std::vector<media::VideoFrame> record_broadcast(int seconds) {
-  media::FrameSource camera({}, Rng(7));
+  media::FrameSource camera(Rng(7));
   Rng pixels(8);
   std::vector<media::VideoFrame> frames;
   for (int i = 0; i < seconds * 25; ++i) {

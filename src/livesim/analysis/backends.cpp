@@ -1,5 +1,7 @@
 #include "livesim/analysis/backends.h"
 
+#include "livesim/cdn/delivery_backend.h"
+#include "livesim/cdn/resource_model.h"
 #include "livesim/geo/datacenters.h"
 #include "livesim/sim/parallel.h"
 #include "livesim/sim/simulator.h"
@@ -56,19 +58,19 @@ BackendBreakdownResult backend_breakdown_experiment(int repetitions,
 }
 
 std::vector<CrossoverPoint> backend_cost_sweep(
-    const cdn::ResourceModel& model, const cdn::DeliveryCadence& cadence,
     const std::vector<std::uint32_t>& viewer_counts) {
+  constexpr double kFps = 25.0;
+  constexpr double kChunkS = 3.0;
+  constexpr double kPollS = time::to_seconds(cdn::kHlsPollInterval);
+  constexpr double kPartS = time::to_seconds(cdn::kLlHlsPartDuration);
   std::vector<CrossoverPoint> out;
   out.reserve(viewer_counts.size());
   for (std::uint32_t v : viewer_counts) {
     out.push_back(
         {.viewers = v,
-         .rtmp_cpu_percent = model.rtmp_cpu_percent(v, cadence.fps),
-         .llhls_cpu_percent = model.llhls_cpu_percent(
-             v, cadence.fps, cadence.part_duration_s, cadence.chunk_duration_s),
-         .hls_cpu_percent = model.hls_cpu_percent(
-             v, cadence.fps, cadence.poll_interval_s,
-             cadence.chunk_duration_s)});
+         .rtmp_cpu_percent = cdn::rtmp_cpu_percent(v, kFps),
+         .llhls_cpu_percent = cdn::llhls_cpu_percent(v, kFps, kPartS, kChunkS),
+         .hls_cpu_percent = cdn::hls_cpu_percent(v, kFps, kPollS, kChunkS)});
   }
   return out;
 }

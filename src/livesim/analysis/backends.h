@@ -8,7 +8,7 @@
 //    breakdown per tier; the paper's ordering (RTMP < LL-HLS < HLS
 //    end-to-end delay) is the headline pin.
 //  * backend_cost_sweep -- the Figure-14 trade-off over the three tiers:
-//    per-viewer-count server CPU from cdn::ResourceModel's cost curves,
+//    per-viewer-count server CPU from cdn/resource_model.h's cost curves,
 //    exposing the crossover where per-connection push cost overtakes the
 //    cache-amortised pull tiers.
 //
@@ -26,8 +26,6 @@
 #include <vector>
 
 #include "livesim/analysis/experiments.h"
-#include "livesim/cdn/delivery_backend.h"
-#include "livesim/cdn/resource_model.h"
 #include "livesim/core/broadcast_session.h"
 
 namespace livesim::analysis {
@@ -53,9 +51,9 @@ struct CrossoverPoint {
 };
 
 /// Sweeps server CPU for each tier over `viewer_counts` (no simulation:
-/// the closed-form ResourceModel curves at `cadence`).
+/// the closed-form cdn/resource_model.h curves at 25 fps, 3 s chunks,
+/// cdn::kHlsPollInterval polls and cdn::kLlHlsPartDuration parts).
 std::vector<CrossoverPoint> backend_cost_sweep(
-    const cdn::ResourceModel& model, const cdn::DeliveryCadence& cadence,
     const std::vector<std::uint32_t>& viewer_counts);
 
 // --- fingerprint pins (FNV-1a, shared by tests and bench) ---

@@ -206,8 +206,8 @@ FlashCrowdStats flash_crowd_experiment(const geo::DatacenterCatalog& catalog,
     blackout_at = resolve_blackout_at(config);
     spec.at = 0;  // injected live AT blackout_at; times are relative
     spec.duration = config.blackout_duration;
-    spec.center = config.blackout_center;
-    spec.radius_km = config.blackout_radius_km;
+    spec.center = kCrowdBlackoutCenter;
+    spec.radius_km = kCrowdBlackoutRadiusKm;
     scenario.add(spec);
   }
 

@@ -60,6 +60,10 @@
 
 namespace livesim::analysis {
 
+/// The storm's blackout: every edge within 1200 km of Frankfurt.
+inline constexpr geo::GeoPoint kCrowdBlackoutCenter{50.11, 8.68};
+inline constexpr double kCrowdBlackoutRadiusKm = 1200.0;
+
 struct FlashCrowdConfig {
   /// The crowd shape. Bench/CI scale: >= 100k viewers over a shortened
   /// horizon; tests shrink viewers, never the structure.
@@ -77,8 +81,10 @@ struct FlashCrowdConfig {
   /// the preset horizon.
   core::SessionConfig session{};
 
-  /// Mid-storm regional blackout. blackout_at == 0 resolves to the
-  /// middle of the spike ramp (spike_at + ramp/2): the worst instant.
+  /// Mid-storm regional blackout of every edge within
+  /// kCrowdBlackoutRadiusKm of kCrowdBlackoutCenter. blackout_at == 0
+  /// resolves to the middle of the spike ramp (spike_at + ramp/2): the
+  /// worst instant.
   ///
   /// Sub-shard contract: when sub-shard invariance matters, pin
   /// blackout_at OFF the batch-window grid (e.g. 70.25 s on a 0.5 s
@@ -87,8 +93,6 @@ struct FlashCrowdConfig {
   /// same-instant ordering depends on how the slice's timeline chained
   /// its windows — off-grid instants make the tie impossible.
   bool blackout = true;
-  geo::GeoPoint blackout_center{50.11, 8.68};  // Frankfurt
-  double blackout_radius_km = 1200.0;
   TimeUs blackout_at = 0;
   DurationUs blackout_duration = 20 * time::kSecond;
   std::uint64_t scenario_seed = 99;

@@ -33,10 +33,10 @@ namespace livesim::analysis {
 
 // The viewer's timings are fixed: a dead RTMP connection goes unnoticed
 // for cdn::kFailoverDetectTimeout, a poll with no answer within 1 s
-// counts as failed and retries under client::PollRetryState's default
-// backoff, HLS polls every cdn::kHlsPollInterval after failover, chunks
-// reach the edge 300 ms (mean) after they seal, and the default
-// client::AdaptivePlayback buffer scores rebuffers.
+// counts as failed and retries under client::PollRetryState's backoff,
+// HLS polls every cdn::kHlsPollInterval after failover, chunks reach the
+// edge 300 ms (mean) after they seal, and a client::AdaptivePlayback
+// buffer starting at 6 s scores rebuffers.
 struct ResilienceConfig {
   /// Per-broadcast randomized fault script. horizon == 0 is replaced by
   /// each trace's media length. faults_per_minute == 0 disables faults.

@@ -15,7 +15,7 @@
 //
 // The session runs one pull transaction for both pull tiers
 // (core/broadcast_session.h); the per-tier cost curves are
-// cdn::ResourceModel's closed forms.
+// closed forms in cdn/resource_model.h.
 #ifndef LIVESIM_CDN_DELIVERY_BACKEND_H
 #define LIVESIM_CDN_DELIVERY_BACKEND_H
 
@@ -44,15 +44,6 @@ inline constexpr DurationUs kLlHlsPartDuration = 1 * time::kSecond;
 /// parked at the cap is released empty, and the client re-requests at
 /// once (preload-hint semantics).
 inline constexpr DurationUs kLlHlsHoldCap = 3 * time::kSecond;
-
-/// Per-broadcast delivery cadence the cost curves depend on. RTMP reads
-/// only fps; HLS ignores part_duration_s.
-struct DeliveryCadence {
-  double fps = 25.0;
-  double poll_interval_s = time::to_seconds(kHlsPollInterval);
-  double chunk_duration_s = 3.0;
-  double part_duration_s = time::to_seconds(kLlHlsPartDuration);
-};
 
 }  // namespace livesim::cdn
 

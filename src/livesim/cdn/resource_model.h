@@ -16,102 +16,95 @@
 
 namespace livesim::cdn {
 
-struct ResourceModel {
-  // Per-operation CPU costs (microseconds of CPU time).
-  double frame_push_us = 70.0;     // push one frame to one RTMP viewer
-  double frame_ingest_us = 40.0;   // receive one frame from the broadcaster
-  double poll_serve_us = 550.0;    // serve one HLS chunklist poll (HTTP)
-  double chunk_build_us = 2500.0;  // assemble + register one chunk
-  double chunk_serve_us = 300.0;   // serve one chunk download
-  double part_build_us = 600.0;    // slice + register one LL-HLS partial
-  double held_poll_us = 150.0;     // park + release one blocking reload
-  double baseline_percent = 2.0;   // idle daemon overhead
+// Per-operation CPU costs (microseconds of CPU time).
+// Push one frame to one RTMP viewer; receive one from the broadcaster.
+inline constexpr double kFramePushUs = 70.0;
+inline constexpr double kFrameIngestUs = 40.0;
+// Serve one HLS chunklist poll (HTTP); serve one chunk download.
+inline constexpr double kPollServeUs = 550.0;
+inline constexpr double kChunkServeUs = 300.0;
+// Assemble + register one chunk; slice + register one LL-HLS partial.
+inline constexpr double kChunkBuildUs = 2500.0;
+inline constexpr double kPartBuildUs = 600.0;
+// Park + release one blocking reload.
+inline constexpr double kHeldPollUs = 150.0;
+// Idle daemon overhead, in percent of one core.
+inline constexpr double kBaselinePercent = 2.0;
 
-  /// Steady-state CPU % serving `viewers` RTMP viewers of one broadcast.
-  double rtmp_cpu_percent(std::uint32_t viewers, double fps) const noexcept {
-    const double work_us_per_s =
-        fps * frame_ingest_us +
-        static_cast<double>(viewers) * fps * frame_push_us;
-    return baseline_percent + work_us_per_s / 1e4;  // 1e6 us == 100%
-  }
+/// Steady-state CPU % serving `viewers` RTMP viewers of one broadcast.
+inline double rtmp_cpu_percent(std::uint32_t viewers, double fps) noexcept {
+  const double work_us_per_s =
+      fps * kFrameIngestUs + static_cast<double>(viewers) * fps * kFramePushUs;
+  return kBaselinePercent + work_us_per_s / 1e4;  // 1e6 us == 100%
+}
 
-  /// Steady-state CPU % serving `viewers` HLS viewers of one broadcast.
-  ///
-  /// Degenerate cadences (`poll_interval_s <= 0` or `chunk_duration_s <= 0`)
-  /// describe a tier that never serves polls and never seals chunks: the
-  /// serve and build terms are all zero, leaving only ingest + baseline.
-  /// (Historically the chunk-serve term silently divided by 1.0 when
-  /// `poll_interval_s <= 0`, charging phantom serve work per viewer.)
-  double hls_cpu_percent(std::uint32_t viewers, double fps,
-                         double poll_interval_s,
-                         double chunk_duration_s) const noexcept {
-    if (poll_interval_s <= 0 || chunk_duration_s <= 0)
-      return baseline_percent + fps * frame_ingest_us / 1e4;
-    const double polls_per_s =
-        static_cast<double>(viewers) / poll_interval_s;
-    const double chunks_per_s = 1.0 / chunk_duration_s;
-    const double work_us_per_s =
-        fps * frame_ingest_us + chunks_per_s * chunk_build_us +
-        polls_per_s * (poll_serve_us +
-                       chunk_serve_us * chunk_duration_s / poll_interval_s);
-    return baseline_percent + work_us_per_s / 1e4;
-  }
+/// Steady-state CPU % serving `viewers` HLS viewers of one broadcast.
+///
+/// Degenerate cadences (`poll_interval_s <= 0` or `chunk_duration_s <= 0`)
+/// describe a tier that never serves polls and never seals chunks: the
+/// serve and build terms are all zero, leaving only ingest + baseline.
+/// (Historically the chunk-serve term silently divided by 1.0 when
+/// `poll_interval_s <= 0`, charging phantom serve work per viewer.)
+inline double hls_cpu_percent(std::uint32_t viewers, double fps,
+                              double poll_interval_s,
+                              double chunk_duration_s) noexcept {
+  if (poll_interval_s <= 0 || chunk_duration_s <= 0)
+    return kBaselinePercent + fps * kFrameIngestUs / 1e4;
+  const double polls_per_s = static_cast<double>(viewers) / poll_interval_s;
+  const double chunks_per_s = 1.0 / chunk_duration_s;
+  const double work_us_per_s =
+      fps * kFrameIngestUs + chunks_per_s * kChunkBuildUs +
+      polls_per_s *
+          (kPollServeUs + kChunkServeUs * chunk_duration_s / poll_interval_s);
+  return kBaselinePercent + work_us_per_s / 1e4;
+}
 
-  /// Steady-state CPU % serving `viewers` LL-HLS viewers of one broadcast.
-  ///
-  /// Blocking playlist reload means each viewer issues exactly one reload
-  /// per partial segment (the server holds it until the part is ready), so
-  /// the per-viewer cadence is `part_duration_s`, not a free-running poll
-  /// interval. Per part the server slices the partial (`part_build_us`,
-  /// amortized over the whole broadcast, not per viewer), parks + releases
-  /// one held reload per viewer (`held_poll_us`), serves the reload
-  /// response (`poll_serve_us`), and ships `part/chunk` of a chunk's bytes
-  /// (`chunk_serve_us` scaled). Chunks are still sealed underneath for the
-  /// HLS fallback window, so `chunk_build_us` stays. Degenerate cadences
-  /// yield ingest + baseline only, matching hls_cpu_percent's contract.
-  double llhls_cpu_percent(std::uint32_t viewers, double fps,
-                           double part_duration_s,
-                           double chunk_duration_s) const noexcept {
-    if (part_duration_s <= 0 || chunk_duration_s <= 0)
-      return baseline_percent + fps * frame_ingest_us / 1e4;
-    const double parts_per_s = 1.0 / part_duration_s;
-    const double chunks_per_s = 1.0 / chunk_duration_s;
-    const double reloads_per_s =
-        static_cast<double>(viewers) / part_duration_s;
-    const double work_us_per_s =
-        fps * frame_ingest_us + parts_per_s * part_build_us +
-        chunks_per_s * chunk_build_us +
-        reloads_per_s * (poll_serve_us + held_poll_us +
-                         chunk_serve_us * part_duration_s / chunk_duration_s);
-    return baseline_percent + work_us_per_s / 1e4;
-  }
-};
+/// Steady-state CPU % serving `viewers` LL-HLS viewers of one broadcast.
+///
+/// Blocking playlist reload means each viewer issues exactly one reload
+/// per partial segment (the server holds it until the part is ready), so
+/// the per-viewer cadence is `part_duration_s`, not a free-running poll
+/// interval. Per part the server slices the partial (kPartBuildUs,
+/// amortized over the whole broadcast, not per viewer), parks + releases
+/// one held reload per viewer (kHeldPollUs), serves the reload response
+/// (kPollServeUs), and ships `part/chunk` of a chunk's bytes
+/// (kChunkServeUs scaled). Chunks are still sealed underneath for the
+/// HLS fallback window, so kChunkBuildUs stays. Degenerate cadences yield
+/// ingest + baseline only, matching hls_cpu_percent's contract.
+inline double llhls_cpu_percent(std::uint32_t viewers, double fps,
+                                double part_duration_s,
+                                double chunk_duration_s) noexcept {
+  if (part_duration_s <= 0 || chunk_duration_s <= 0)
+    return kBaselinePercent + fps * kFrameIngestUs / 1e4;
+  const double parts_per_s = 1.0 / part_duration_s;
+  const double chunks_per_s = 1.0 / chunk_duration_s;
+  const double reloads_per_s = static_cast<double>(viewers) / part_duration_s;
+  const double work_us_per_s =
+      fps * kFrameIngestUs + parts_per_s * kPartBuildUs +
+      chunks_per_s * kChunkBuildUs +
+      reloads_per_s * (kPollServeUs + kHeldPollUs +
+                       kChunkServeUs * part_duration_s / chunk_duration_s);
+  return kBaselinePercent + work_us_per_s / 1e4;
+}
 
-/// Event-level CPU accounting attached to a simulated server: the session
-/// drivers call charge() per operation and read back utilization.
+/// Event-level CPU accounting attached to the ingest server: it charges
+/// each operation and reads back utilization.
 class CpuMeter {
  public:
-  explicit CpuMeter(const ResourceModel& model) : model_(model) {}
-
-  void charge_frame_push() noexcept { busy_us_ += model_.frame_push_us; }
-  void charge_frame_ingest() noexcept { busy_us_ += model_.frame_ingest_us; }
-  void charge_poll() noexcept { busy_us_ += model_.poll_serve_us; }
-  void charge_chunk_build() noexcept { busy_us_ += model_.chunk_build_us; }
-  void charge_chunk_serve() noexcept { busy_us_ += model_.chunk_serve_us; }
-  void charge_part_build() noexcept { busy_us_ += model_.part_build_us; }
-  void charge_held_poll() noexcept { busy_us_ += model_.held_poll_us; }
+  void charge_frame_push() noexcept { busy_us_ += kFramePushUs; }
+  void charge_frame_ingest() noexcept { busy_us_ += kFrameIngestUs; }
+  void charge_chunk_build() noexcept { busy_us_ += kChunkBuildUs; }
+  void charge_part_build() noexcept { busy_us_ += kPartBuildUs; }
 
   /// Utilization over a wall window, in percent of one core.
   double percent_over(DurationUs window) const noexcept {
     if (window <= 0) return 0.0;
-    return model_.baseline_percent +
-           busy_us_ / static_cast<double>(window) * 100.0;
+    return kBaselinePercent + busy_us_ / static_cast<double>(window) * 100.0;
   }
 
   double busy_us() const noexcept { return busy_us_; }
 
  private:
-  ResourceModel model_;
   double busy_us_ = 0.0;
 };
 

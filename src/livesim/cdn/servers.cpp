@@ -91,10 +91,8 @@ void EdgeServer::respond(const std::vector<Unit>& log, std::uint32_t low,
          static_cast<std::int64_t>(log[begin].seq) <= client_last)
     ++begin;
   egress_bytes_ += 1200;  // the playlist (or playlist-delta) response
-  for (std::uint32_t i = begin; i < end; ++i) {
-    cpu_.charge_chunk_serve();  // one download, chunk or part
-    egress_bytes_ += log[i].size_bytes;
-  }
+  for (std::uint32_t i = begin; i < end; ++i)
+    egress_bytes_ += log[i].size_bytes;  // one download, chunk or part
   cb(sim_.now(), begin, end);
 }
 
@@ -115,7 +113,6 @@ void EdgeServer::on_poll(std::int64_t client_last_seq, PollCallback cb) {
     return;
   }
   ++polls_;
-  cpu_.charge_poll();
   if (cached_seq_ >= known_latest_seq_) {
     respond(chunk_log_, chunk_low_, client_last_seq, cb);
     return;
@@ -144,7 +141,6 @@ void EdgeServer::on_part(const media::Part& part) {
   parked.swap(held_waiters_);
   for (auto& w : parked) {
     if (w.last_part < latest_part_seq_) {
-      cpu_.charge_held_poll();
       ++held_releases_;
       respond(part_log_, part_low_, w.last_part, w.cb);
     } else {
@@ -163,7 +159,6 @@ void EdgeServer::on_part_poll(std::int64_t client_last_part, PollCallback cb) {
     return;
   }
   ++part_polls_;
-  cpu_.charge_poll();
   if (latest_part_seq_ > client_last_part) {
     respond(part_log_, part_low_, client_last_part, cb);
     return;
@@ -180,7 +175,6 @@ void EdgeServer::on_part_poll(std::int64_t client_last_part, PollCallback cb) {
     if (it == held_waiters_.end()) return;  // already released (or died)
     auto waiter = std::move(*it);
     held_waiters_.erase(it);
-    cpu_.charge_held_poll();
     ++held_timeouts_;
     // Released empty: nothing newer arrived within the cap.
     respond(part_log_, part_low_, waiter.last_part, waiter.cb);

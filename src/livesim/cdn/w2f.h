@@ -16,17 +16,18 @@
 
 namespace livesim::cdn {
 
+/// Origin request setup at the gateway.
+inline constexpr DurationUs kW2fHandshake = 60 * time::kMillisecond;
+/// The gateway's coordination pass before a non-gateway edge gets a chunk.
+inline constexpr DurationUs kGatewayCoordination = 250 * time::kMillisecond;
+/// Inter-datacenter transfer rate: W2F chunk pulls and LL-HLS part pushes.
+inline constexpr double kInterDcBandwidthBps = 500e6;
+inline constexpr double kW2fJitter = 0.20;
+
 class W2FModel {
  public:
-  struct Params {
-    DurationUs handshake = 60 * time::kMillisecond;  // origin request setup
-    DurationUs gateway_coordination = 250 * time::kMillisecond;
-    double interdc_bandwidth_bps = 500e6;            // chunk transfer rate
-    double jitter_fraction = 0.20;
-  };
-
-  W2FModel(const geo::DatacenterCatalog& catalog, geo::LatencyModel latency)
-      : catalog_(catalog), latency_(latency) {}
+  explicit W2FModel(const geo::DatacenterCatalog& catalog)
+      : catalog_(catalog) {}
 
   /// The gateway edge for an ingest site: its co-located edge if one
   /// exists (6 of 8 sites), else the nearest edge (the Sao Paulo case).
@@ -37,12 +38,8 @@ class W2FModel {
   DurationUs sample_transfer(DatacenterId ingest, DatacenterId edge,
                              std::uint64_t chunk_bytes, Rng& rng) const;
 
-  const Params& params() const noexcept { return params_; }
-
  private:
   const geo::DatacenterCatalog& catalog_;
-  geo::LatencyModel latency_;
-  Params params_{};
 };
 
 }  // namespace livesim::cdn

@@ -42,10 +42,9 @@ void AdaptivePlayback::on_arrival(TimeUs arrival, DurationUs media_offset,
     // grows the target (capped), and rebuffers -- the refill pause counts
     // as stall too, since the screen stays frozen while the buffer fills.
     ++rebuffers_;
-    if (current_target_ < params_.max_pre_buffer) {
-      current_target_ += params_.grow_step;
-      if (current_target_ > params_.max_pre_buffer)
-        current_target_ = params_.max_pre_buffer;
+    if (current_target_ < kMaxPreBuffer) {
+      current_target_ += kGrowStep;
+      if (current_target_ > kMaxPreBuffer) current_target_ = kMaxPreBuffer;
     }
     stalled_ += (arrival - sched) + current_target_;
     anchor(arrival, media_offset);

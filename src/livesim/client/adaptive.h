@@ -20,14 +20,12 @@ namespace livesim::client {
 
 class AdaptivePlayback {
  public:
-  struct Params {
-    DurationUs initial_pre_buffer = 6 * time::kSecond;
-    DurationUs max_pre_buffer = 9 * time::kSecond;
-    DurationUs grow_step = 1500 * time::kMillisecond;  // on each under-run
-  };
+  /// The deployed 9 s buffer caps growth; each under-run adds kGrowStep.
+  static constexpr DurationUs kMaxPreBuffer = 9 * time::kSecond;
+  static constexpr DurationUs kGrowStep = 1500 * time::kMillisecond;
 
-  explicit AdaptivePlayback(Params params) : params_(params),
-      current_target_(params.initial_pre_buffer) {}
+  explicit AdaptivePlayback(DurationUs initial_pre_buffer)
+      : current_target_(initial_pre_buffer) {}
 
   /// Same contract as PlaybackSchedule::on_arrival, but the schedule may
   /// re-anchor (rebuffer) after an under-run.
@@ -50,7 +48,6 @@ class AdaptivePlayback {
  private:
   void anchor(TimeUs arrival, DurationUs media_offset);
 
-  Params params_;
   DurationUs current_target_;
 
   bool started_ = false;

@@ -6,11 +6,11 @@ std::optional<TimeUs> PollRetryState::on_failure(TimeUs now, Rng& rng) {
   if (gave_up_) return std::nullopt;
   ++streak_;
   ++total_;
-  if (streak_ >= params_.max_attempts) {
+  if (streak_ >= kMaxAttempts) {
     gave_up_ = true;
     return std::nullopt;
   }
-  return now + policy_.delay(streak_, rng);
+  return now + fault::backoff_delay(streak_, rng);
 }
 
 }  // namespace livesim::client

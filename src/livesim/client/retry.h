@@ -4,7 +4,7 @@
 // client does when one doesn't. PollRetryState tracks the consecutive-
 // failure streak, paces the next attempt with capped exponential backoff
 // (jittered from the caller's RNG stream), and gives up after
-// `max_attempts` failures in a row — the point where a real app would
+// kMaxAttempts failures in a row — the point where a real app would
 // drop the viewer to an error screen. A success resets the streak, so
 // transient partitions cost a few backed-off polls, not the session.
 #ifndef LIVESIM_CLIENT_RETRY_H
@@ -21,20 +21,13 @@ namespace livesim::client {
 
 class PollRetryState {
  public:
-  struct Params {
-    fault::BackoffPolicy::Params backoff{};
-    /// Consecutive failures tolerated before the client gives up.
-    std::uint32_t max_attempts = 6;
-  };
-
-  PollRetryState() : PollRetryState(Params{}) {}
-  explicit PollRetryState(Params params)
-      : params_(params), policy_(params.backoff) {}
+  /// Consecutive failures tolerated before the client gives up.
+  static constexpr std::uint32_t kMaxAttempts = 6;
 
   /// A poll failed (timeout, partition, corrupt response) at `now`.
-  /// Returns when to retry, or nullopt if the streak just exhausted
-  /// max_attempts — the client has given up (terminal; later calls keep
-  /// returning nullopt).
+  /// Returns when to retry (fault::backoff_delay), or nullopt if the
+  /// streak just reached kMaxAttempts — the client has given up
+  /// (terminal; later calls keep returning nullopt).
   std::optional<TimeUs> on_failure(TimeUs now, Rng& rng);
 
   /// A poll succeeded: the failure streak resets.
@@ -46,11 +39,7 @@ class PollRetryState {
   std::uint32_t total_failures() const noexcept { return total_; }
   bool gave_up() const noexcept { return gave_up_; }
 
-  const Params& params() const noexcept { return params_; }
-
  private:
-  Params params_;
-  fault::BackoffPolicy policy_;
   std::uint32_t streak_ = 0;
   std::uint32_t total_ = 0;
   bool gave_up_ = false;

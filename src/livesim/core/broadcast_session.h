@@ -49,15 +49,17 @@ namespace livesim::core {
 /// HLS poll phase is quantized onto (43.75 ms, which divides exactly).
 inline constexpr std::uint32_t kPollWheelSlots = 64;
 
-/// What varies between sessions. The models a session builds run at
-/// their defaults: the encoder (media::FrameSource::Params), the
-/// broadcaster's uplink (net::LastMileProfiles::stable_uplink), the
-/// servers' CPU costs (cdn::ResourceModel), the W2F transfer model, the
-/// wide-area latency model and the viewers' WiFi last mile. RTMP and
-/// LL-HLS viewers anchor playback at fixed 1 s and 3 s pre-buffers.
+/// What varies between sessions. The models a session builds have no
+/// settings: the encoder (media/encoder.h), the broadcaster's uplink
+/// (net::LastMileProfiles::stable_uplink), the servers' CPU costs
+/// (cdn/resource_model.h), the W2F transfer model (cdn/w2f.h), the
+/// wide-area latency model (geo/geo.h) and the viewers' WiFi last mile.
+/// RTMP and LL-HLS viewers anchor playback at fixed 1 s and 3 s
+/// pre-buffers.
 struct SessionConfig {
   DurationUs broadcast_len = 60 * time::kSecond;
-  media::Chunker::Params chunker{};
+  /// HLS chunk target; a chunk without a keyframe seals at twice it.
+  DurationUs chunk_target = media::kChunkTarget;
 
   geo::GeoPoint broadcaster_location{37.77, -122.42};  // San Francisco
 

@@ -21,17 +21,17 @@ std::vector<BroadcastId> GlobalList::sample(std::size_t k, Rng& rng) const {
 }
 
 ListCrawler::ListCrawler(sim::Simulator& sim, const GlobalList& list,
-                         Params params, Rng rng)
-    : sim_(sim), list_(list), params_(params), rng_(rng) {}
+                         std::uint32_t accounts, Rng rng)
+    : sim_(sim), list_(list), num_accounts_(accounts), rng_(rng) {}
 
 void ListCrawler::start() {
   const DurationUs stagger = effective_refresh();
-  for (std::uint32_t a = 0; a < params_.accounts; ++a) {
+  for (std::uint32_t a = 0; a < num_accounts_; ++a) {
     accounts_.push_back(std::make_unique<sim::PeriodicProcess>(
-        sim_, sim_.now() + static_cast<TimeUs>(a) * stagger,
-        params_.account_interval, [this](sim::PeriodicProcess&) {
+        sim_, sim_.now() + static_cast<TimeUs>(a) * stagger, kAccountInterval,
+        [this](sim::PeriodicProcess&) {
           ++refreshes_;
-          for (BroadcastId id : list_.sample(params_.list_size, rng_))
+          for (BroadcastId id : list_.sample(kListSize, rng_))
             first_seen_.emplace(id.value, sim_.now());
         }));
   }
@@ -70,9 +70,7 @@ CoverageResult run_coverage_experiment(const CoverageParams& params) {
   };
   sim.schedule_in(0, arrive);
 
-  ListCrawler::Params cp;
-  cp.accounts = params.accounts;
-  ListCrawler crawler(sim, list, cp, rng.fork());
+  ListCrawler crawler(sim, list, params.accounts, rng.fork());
   crawler.start();
 
   // Stop the crawler a little after the horizon so trailing broadcasts can

@@ -40,24 +40,25 @@ class GlobalList {
   std::unordered_set<std::uint64_t> active_;
 };
 
+/// Accounts the paper's crawler ran.
+inline constexpr std::uint32_t kAccounts = 20;
+/// The app's global-list refresh period, per account.
+inline constexpr DurationUs kAccountInterval = 5 * time::kSecond;
+/// Broadcasts one global-list refresh returns.
+inline constexpr std::size_t kListSize = 50;
+
 /// Multi-account list crawler.
 class ListCrawler {
  public:
-  struct Params {
-    std::uint32_t accounts = 20;
-    DurationUs account_interval = 5 * time::kSecond;  // app refresh period
-    std::size_t list_size = 50;
-  };
-
-  ListCrawler(sim::Simulator& sim, const GlobalList& list, Params params,
-              Rng rng);
+  ListCrawler(sim::Simulator& sim, const GlobalList& list,
+              std::uint32_t accounts, Rng rng);
 
   /// Begins the staggered refresh loops.
   void start();
   void stop();
 
   DurationUs effective_refresh() const noexcept {
-    return params_.account_interval / params_.accounts;
+    return kAccountInterval / num_accounts_;
   }
 
   bool has_seen(BroadcastId id) const {
@@ -72,7 +73,7 @@ class ListCrawler {
  private:
   sim::Simulator& sim_;
   const GlobalList& list_;
-  Params params_;
+  std::uint32_t num_accounts_;
   Rng rng_;
   std::vector<std::unique_ptr<sim::PeriodicProcess>> accounts_;
   std::unordered_map<std::uint64_t, TimeUs> first_seen_;
@@ -92,7 +93,7 @@ struct CoverageResult {
 struct CoverageParams {
   double arrivals_per_s = 2.0;        // broadcast creation rate
   double mean_duration_s = 300.0;     // lognormal-ish duration
-  std::uint32_t accounts = 20;        // account_interval fixed at 5 s
+  std::uint32_t accounts = kAccounts;
   DurationUs horizon = 30 * time::kMinute;
   std::uint64_t seed = 1;
 };

@@ -20,14 +20,12 @@
 
 namespace livesim::crawler {
 
+/// The paper's crawler (kAccounts accounts refreshing a kListSize list
+/// every kAccountInterval), plus one metadata monitor per broadcast.
 class ServiceCrawler {
  public:
-  struct Params {
-    std::uint32_t accounts = 20;
-    DurationUs account_interval = 5 * time::kSecond;
-    std::size_t list_size = 50;
-    DurationUs monitor_poll = time::kSecond;  // per-broadcast metadata poll
-  };
+  /// Per-broadcast metadata poll.
+  static constexpr DurationUs kMonitorPoll = time::kSecond;
 
   struct Record {
     BroadcastId id{};
@@ -40,7 +38,7 @@ class ServiceCrawler {
   };
 
   ServiceCrawler(sim::Simulator& sim, core::LivestreamService& service,
-                 Params params, Rng rng);
+                 Rng rng);
   ~ServiceCrawler();
 
   void start();
@@ -64,7 +62,6 @@ class ServiceCrawler {
 
   sim::Simulator& sim_;
   core::LivestreamService& service_;
-  Params params_;
   Rng rng_;
   std::vector<std::unique_ptr<sim::PeriodicProcess>> accounts_;
   std::vector<std::unique_ptr<sim::PeriodicProcess>> monitors_;

@@ -1,28 +1,25 @@
 #include "livesim/fault/backoff.h"
 
+#include <algorithm>
+
 namespace livesim::fault {
 
-DurationUs BackoffPolicy::base_delay(std::uint32_t attempt) const noexcept {
-  if (attempt == 0) attempt = 1;
+DurationUs backoff_base_delay(std::uint32_t attempt) noexcept {
   // Compute in double: 2^60 µs is ~36k years, far past any cap, and the
   // double path cannot overflow the way repeated integer doubling can.
-  double d = static_cast<double>(params_.base);
+  const double cap = static_cast<double>(kBackoffCap);
+  double d = static_cast<double>(kBackoffBase);
   for (std::uint32_t i = 1; i < attempt; ++i) {
-    d *= params_.multiplier;
-    if (d >= static_cast<double>(params_.cap)) break;
+    d *= kBackoffMultiplier;
+    if (d >= cap) break;
   }
-  if (d > static_cast<double>(params_.cap)) d = static_cast<double>(params_.cap);
-  const auto out = static_cast<DurationUs>(d);
-  return out > 0 ? out : 1;
+  return static_cast<DurationUs>(std::min(d, cap));
 }
 
-DurationUs BackoffPolicy::delay(std::uint32_t attempt,
-                                Rng& rng) const noexcept {
-  const double jitter =
-      1.0 + params_.jitter_fraction * (2.0 * rng.uniform() - 1.0);
-  const auto out = static_cast<DurationUs>(
-      static_cast<double>(base_delay(attempt)) * jitter);
-  return out > 0 ? out : 1;
+DurationUs backoff_delay(std::uint32_t attempt, Rng& rng) noexcept {
+  const double jitter = 1.0 + kBackoffJitter * (2.0 * rng.uniform() - 1.0);
+  return static_cast<DurationUs>(
+      static_cast<double>(backoff_base_delay(attempt)) * jitter);
 }
 
 }  // namespace livesim::fault

@@ -16,32 +16,21 @@
 
 namespace livesim::fault {
 
-class BackoffPolicy {
- public:
-  struct Params {
-    DurationUs base = 500 * time::kMillisecond;  // attempt-1 delay
-    double multiplier = 2.0;                     // growth per attempt
-    DurationUs cap = 8 * time::kSecond;          // pre-jitter ceiling
-    double jitter_fraction = 0.2;  // uniform multiplier in [1-j, 1+j]
-  };
+// Attempt 1 waits kBackoffBase, each later attempt kBackoffMultiplier
+// times longer, capped at kBackoffCap before jitter; the jitter is a
+// uniform multiplier in [1 - kBackoffJitter, 1 + kBackoffJitter].
+inline constexpr DurationUs kBackoffBase = 500 * time::kMillisecond;
+inline constexpr double kBackoffMultiplier = 2.0;
+inline constexpr DurationUs kBackoffCap = 8 * time::kSecond;
+inline constexpr double kBackoffJitter = 0.2;
 
-  BackoffPolicy() = default;
-  explicit BackoffPolicy(Params params) : params_(params) {}
+/// Un-jittered delay for 1-based `attempt`:
+/// min(kBackoffBase * kBackoffMultiplier^(attempt-1), kBackoffCap).
+DurationUs backoff_base_delay(std::uint32_t attempt) noexcept;
 
-  /// Un-jittered delay for 1-based `attempt`:
-  /// min(base * multiplier^(attempt-1), cap). Never below 1 µs.
-  DurationUs base_delay(std::uint32_t attempt) const noexcept;
-
-  /// Jittered delay: base_delay(attempt) scaled by a uniform draw in
-  /// [1 - jitter_fraction, 1 + jitter_fraction]. Deterministic given the
-  /// RNG state; always >= 1 µs.
-  DurationUs delay(std::uint32_t attempt, Rng& rng) const noexcept;
-
-  const Params& params() const noexcept { return params_; }
-
- private:
-  Params params_;
-};
+/// Jittered delay: backoff_base_delay(attempt) scaled by one uniform
+/// draw. Deterministic given the RNG state.
+DurationUs backoff_delay(std::uint32_t attempt, Rng& rng) noexcept;
 
 }  // namespace livesim::fault
 

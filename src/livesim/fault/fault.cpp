@@ -1,7 +1,6 @@
 #include "livesim/fault/fault.h"
 
 #include <algorithm>
-#include <array>
 
 namespace livesim::fault {
 
@@ -31,14 +30,8 @@ FaultSchedule FaultSchedule::randomized(const RandomFaultParams& params,
   FaultSchedule out;
   if (params.faults_per_minute <= 0.0 || params.horizon <= 0) return out;
 
-  const std::array<double, kFaultKindCount> weights = {
-      params.ingest_crash_weight, params.edge_flush_weight,
-      params.link_degrade_weight, params.chunk_corruption_weight,
-      params.edge_down_weight};
-  double total_weight = 0.0;
-  for (double w : weights) total_weight += w > 0.0 ? w : 0.0;
-  if (total_weight <= 0.0) return out;
-
+  // The kinds a randomized script draws: every kind but kEdgeDown.
+  constexpr std::size_t kDrawnKinds = kFaultKindCount - 1;
   Rng rng(seed);
   const double mean_gap_us =
       static_cast<double>(time::kMinute) / params.faults_per_minute;
@@ -47,37 +40,25 @@ FaultSchedule FaultSchedule::randomized(const RandomFaultParams& params,
     t += static_cast<DurationUs>(rng.exponential(mean_gap_us));
     if (t >= params.horizon) break;
 
-    double pick = rng.uniform() * total_weight;
-    std::size_t kind = 0;
-    for (; kind + 1 < kFaultKindCount; ++kind) {
-      const double w = weights[kind] > 0.0 ? weights[kind] : 0.0;
-      if (pick < w) break;
-      pick -= w;
-    }
-
     FaultEvent e;
     e.at = t;
-    e.kind = static_cast<FaultKind>(kind);
+    e.kind = static_cast<FaultKind>(
+        static_cast<std::size_t>(rng.uniform() * kDrawnKinds));
     switch (e.kind) {
       case FaultKind::kIngestCrash:
         e.duration = static_cast<DurationUs>(
-            rng.exponential(static_cast<double>(params.mean_ingest_down)));
-        break;
-      case FaultKind::kEdgeCacheFlush:
-        e.duration = 0;  // point event
+            rng.exponential(static_cast<double>(kMeanIngestDown)));
         break;
       case FaultKind::kLinkDegrade:
         e.duration = static_cast<DurationUs>(
-            rng.exponential(static_cast<double>(params.mean_link_down)));
+            rng.exponential(static_cast<double>(kMeanLinkDown)));
         break;
       case FaultKind::kChunkCorruption:
-        e.duration = static_cast<DurationUs>(rng.exponential(
-            static_cast<double>(params.mean_corruption_window)));
-        e.magnitude = params.corruption_probability;
-        break;
-      case FaultKind::kEdgeDown:
         e.duration = static_cast<DurationUs>(
-            rng.exponential(static_cast<double>(params.mean_edge_down)));
+            rng.exponential(static_cast<double>(kMeanCorruptionWindow)));
+        e.magnitude = kCorruptionProbability;
+        break;
+      default:  // kEdgeCacheFlush: a point event
         break;
     }
     out.events_.push_back(e);  // generated in time order already

@@ -48,28 +48,23 @@ struct FaultEvent {
 };
 
 /// Parameters for a randomized (but seed-deterministic) fault script.
+/// Each event is an ingest crash, an edge-cache flush, a link degradation
+/// or a corruption window with equal odds (kEdgeDown comes only from
+/// scenarios, scenario.h); windows last an exponential draw around the
+/// kind's mean below.
 struct RandomFaultParams {
   /// Poisson arrival rate of fault events. 0 = empty schedule.
   double faults_per_minute = 0.0;
   /// Events are drawn in [0, horizon). 0 = caller substitutes its own
   /// horizon (e.g. the broadcast length) before generating.
   DurationUs horizon = 0;
-
-  // Relative kind weights (normalized internally; all-zero = no faults).
-  // edge_down defaults to 0 so legacy (pre-kEdgeDown) parameter sets draw
-  // byte-identical schedules.
-  double ingest_crash_weight = 1.0;
-  double edge_flush_weight = 1.0;
-  double link_degrade_weight = 1.0;
-  double chunk_corruption_weight = 1.0;
-  double edge_down_weight = 0.0;
-
-  DurationUs mean_ingest_down = 8 * time::kSecond;
-  DurationUs mean_link_down = 4 * time::kSecond;
-  DurationUs mean_corruption_window = 5 * time::kSecond;
-  DurationUs mean_edge_down = 6 * time::kSecond;
-  double corruption_probability = 0.5;
 };
+
+inline constexpr DurationUs kMeanIngestDown = 8 * time::kSecond;
+inline constexpr DurationUs kMeanLinkDown = 4 * time::kSecond;
+inline constexpr DurationUs kMeanCorruptionWindow = 5 * time::kSecond;
+/// A randomized corruption window's per-download corruption probability.
+inline constexpr double kCorruptionProbability = 0.5;
 
 /// A time-ordered fault script. Value type: copy freely, compare by
 /// events(). An empty schedule is the (cheap) "faults disabled" state.
@@ -81,7 +76,7 @@ class FaultSchedule {
   FaultSchedule& add(FaultEvent e);
 
   /// Draws a schedule from a Poisson event process: exponential
-  /// inter-arrivals at `params.faults_per_minute`, kind by weight,
+  /// inter-arrivals at `params.faults_per_minute`, a uniform kind,
   /// duration by the kind's exponential mean. Deterministic in
   /// (params, seed).
   static FaultSchedule randomized(const RandomFaultParams& params,

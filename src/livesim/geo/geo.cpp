@@ -19,19 +19,18 @@ double haversine_km(const GeoPoint& a, const GeoPoint& b) noexcept {
   return 2.0 * kEarthRadiusKm * std::asin(std::min(1.0, std::sqrt(h)));
 }
 
-DurationUs LatencyModel::mean_delay(double distance_km) const noexcept {
-  const double prop_ms = distance_km / params_.km_per_ms;
-  return params_.base + time::from_millis(prop_ms);
+DurationUs mean_delay(double distance_km) noexcept {
+  const double prop_ms = distance_km / kKmPerMs;
+  return kLatencyBase + time::from_millis(prop_ms);
 }
 
-DurationUs LatencyModel::sample_delay(double distance_km, Rng& rng) const noexcept {
+DurationUs sample_delay(double distance_km, Rng& rng) noexcept {
   const DurationUs mean = mean_delay(distance_km);
   // Multiplicative jitter, right-skewed: queueing adds delay more often
   // than routing removes it.
-  const double mult =
-      1.0 + params_.jitter_fraction * std::abs(rng.normal(0.0, 1.0));
+  const double mult = 1.0 + kLatencyJitter * std::abs(rng.normal(0.0, 1.0));
   auto d = static_cast<DurationUs>(static_cast<double>(mean) * mult);
-  return d < params_.base ? params_.base : d;
+  return d < kLatencyBase ? kLatencyBase : d;
 }
 
 }  // namespace livesim::geo

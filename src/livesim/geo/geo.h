@@ -21,31 +21,18 @@ double haversine_km(const GeoPoint& a, const GeoPoint& b) noexcept;
 /// Wide-area latency model.
 ///
 /// One-way delay = base processing + distance / (c * fiber_factor) *
-/// route_inflation + jitter. The defaults give ~35 ms one-way across the
+/// route_inflation + jitter. The constants give ~35 ms one-way across the
 /// US and ~90 ms transatlantic-to-Asia, consistent with the RTT scales the
 /// paper's CDN measurements imply.
-class LatencyModel {
- public:
-  struct Params {
-    DurationUs base = time::from_millis(2.0);   // per-hop processing floor
-    double km_per_ms = 100.0;                   // ~0.5c effective + routing
-    double jitter_fraction = 0.10;              // lognormal-ish spread
-  };
+inline constexpr DurationUs kLatencyBase = 2 * time::kMillisecond;  // floor
+inline constexpr double kKmPerMs = 100.0;       // ~0.5c effective + routing
+inline constexpr double kLatencyJitter = 0.10;  // lognormal-ish spread
 
-  LatencyModel() = default;
-  explicit LatencyModel(Params p) : params_(p) {}
+/// Deterministic mean one-way propagation delay for a distance.
+DurationUs mean_delay(double distance_km) noexcept;
 
-  /// Deterministic mean one-way propagation delay for a distance.
-  DurationUs mean_delay(double distance_km) const noexcept;
-
-  /// Sampled one-way delay with jitter (never below base).
-  DurationUs sample_delay(double distance_km, Rng& rng) const noexcept;
-
-  const Params& params() const noexcept { return params_; }
-
- private:
-  Params params_{};
-};
+/// Sampled one-way delay with jitter (never below kLatencyBase).
+DurationUs sample_delay(double distance_km, Rng& rng) noexcept;
 
 }  // namespace livesim::geo
 

@@ -7,8 +7,8 @@ std::optional<Chunk> Chunker::push(const VideoFrame& frame, TimeUs now) {
   // Seal-before-append: a keyframe arriving once the target is met starts
   // the next chunk, so chunk boundaries land on keyframes.
   if (building_ &&
-      ((frame.keyframe && acc_duration_ >= params_.target_duration) ||
-       acc_duration_ >= params_.max_duration)) {
+      ((frame.keyframe && acc_duration_ >= target_duration_) ||
+       acc_duration_ >= 2 * target_duration_)) {
     sealed = seal(now);
   }
   if (!building_) {
@@ -42,7 +42,7 @@ Chunk Chunker::seal(TimeUs now) {
   building_ = false;
 
   list_.chunks.push_back(c);
-  if (list_.chunks.size() > params_.playlist_window)
+  if (list_.chunks.size() > kPlaylistWindow)
     list_.chunks.erase(list_.chunks.begin());
   ++list_.version;
   return c;

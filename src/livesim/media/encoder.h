@@ -15,26 +15,21 @@
 
 namespace livesim::media {
 
+inline constexpr DurationUs kFrameInterval = 40 * time::kMillisecond;  // 25 fps
+inline constexpr std::uint32_t kGopFrames = 25;        // keyframe every 1 s
+inline constexpr std::uint32_t kMeanFrameBytes = 2000;  // ~400 kbps video
+inline constexpr double kKeyframeMultiplier = 8.0;
+inline constexpr double kFrameSizeJitter = 0.25;  // lognormal-ish spread
+
 class FrameSource {
  public:
-  struct Params {
-    DurationUs frame_interval = 40 * time::kMillisecond;  // 25 fps
-    std::uint32_t gop_frames = 25;            // keyframe every 1 s
-    std::uint32_t mean_frame_bytes = 2000;    // ~400 kbps video
-    double keyframe_multiplier = 8.0;
-    double size_jitter = 0.25;                // lognormal-ish spread
-  };
-
-  FrameSource(Params params, Rng rng) : params_(params), rng_(rng) {}
+  explicit FrameSource(Rng rng) : rng_(rng) {}
 
   /// Produces the next frame; capture timestamps advance by exactly one
   /// frame interval per call, starting at `start`.
   VideoFrame next(TimeUs start = 0);
 
-  const Params& params() const noexcept { return params_; }
-
  private:
-  Params params_;
   Rng rng_;
   std::uint64_t next_seq_ = 0;
 };

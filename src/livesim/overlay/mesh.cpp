@@ -5,18 +5,15 @@
 
 namespace livesim::overlay {
 
-P2PMesh::P2PMesh(sim::Simulator& sim, Params params, Rng rng)
-    : sim_(sim), params_(params), rng_(rng) {}
-
 std::uint64_t P2PMesh::join(PeerSink sink) {
   const std::uint64_t id = next_id_++;
   Peer peer;
   peer.sink = std::move(sink);
 
-  // Wire to up to `neighbors` random live peers, bidirectionally.
+  // Wire to up to kNeighbors random live peers, bidirectionally.
   std::uint32_t wired = 0;
   for (int attempts = 0;
-       wired < params_.neighbors && attempts < 40 && !live_ids_.empty();
+       wired < kNeighbors && attempts < 40 && !live_ids_.empty();
        ++attempts) {
     const std::uint64_t candidate = live_ids_[static_cast<std::size_t>(
         rng_.uniform_int(0, static_cast<std::int64_t>(live_ids_.size()) - 1))];
@@ -47,12 +44,11 @@ void P2PMesh::leave(std::uint64_t peer) {
 DurationUs P2PMesh::hop_delay(std::uint64_t chunk_bytes) {
   // Offer -> request -> transfer: one peer RTT plus the serialization of
   // the chunk over the sender's residential uplink.
-  const double jitter =
-      1.0 + params_.rtt_jitter * std::abs(rng_.normal(0.0, 1.0));
+  const double jitter = 1.0 + kRttJitter * std::abs(rng_.normal(0.0, 1.0));
   const double transfer_s =
-      static_cast<double>(chunk_bytes) * 8.0 / params_.peer_uplink_bps;
+      static_cast<double>(chunk_bytes) * 8.0 / kPeerUplinkBps;
   return static_cast<DurationUs>(
-      static_cast<double>(params_.peer_rtt) * jitter +
+      static_cast<double>(kPeerRtt) * jitter +
       transfer_s * static_cast<double>(time::kSecond));
 }
 
@@ -85,8 +81,8 @@ void P2PMesh::push_chunk(const media::Chunk& chunk) {
   last_chunk_seq_ = chunk.seq;
   last_chunk_receivers_ = 0;
   std::uint32_t sent = 0;
-  for (int attempts = 0; sent < params_.server_seeds && attempts < 100 &&
-                         !live_ids_.empty();
+  for (int attempts = 0;
+       sent < kServerSeeds && attempts < 100 && !live_ids_.empty();
        ++attempts) {
     const std::uint64_t target = live_ids_[static_cast<std::size_t>(
         rng_.uniform_int(0, static_cast<std::int64_t>(live_ids_.size()) - 1))];

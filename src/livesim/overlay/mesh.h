@@ -26,24 +26,23 @@ class P2PMesh {
   using PeerSink =
       std::function<void(const media::Chunk&, TimeUs, std::uint32_t)>;
 
-  struct Params {
-    std::uint32_t neighbors = 4;       // mesh degree per peer
-    std::uint32_t server_seeds = 3;    // peers the server sends each chunk
-    DurationUs peer_rtt = 120 * time::kMillisecond;  // offer/pull handshake
-    double peer_uplink_bps = 5e6;      // residential upload
-    double rtt_jitter = 0.3;
-  };
+  static constexpr std::uint32_t kNeighbors = 4;    // mesh degree per peer
+  static constexpr std::uint32_t kServerSeeds = 3;  // peers seeded per chunk
+  // Offer/pull handshake round trip, and its multiplicative jitter.
+  static constexpr DurationUs kPeerRtt = 120 * time::kMillisecond;
+  static constexpr double kRttJitter = 0.3;
+  static constexpr double kPeerUplinkBps = 5e6;  // residential upload
 
-  P2PMesh(sim::Simulator& sim, Params params, Rng rng);
+  P2PMesh(sim::Simulator& sim, Rng rng) : sim_(sim), rng_(rng) {}
 
-  /// Adds a peer; it wires itself to `neighbors` random existing peers
+  /// Adds a peer; it wires itself to kNeighbors random existing peers
   /// (bidirectional). Returns the peer id.
   std::uint64_t join(PeerSink sink);
 
   /// Peer churn: the peer stops relaying and receiving.
   void leave(std::uint64_t peer);
 
-  /// Server injects a chunk: seeds it to `server_seeds` random live peers.
+  /// Server injects a chunk: seeds it to kServerSeeds random live peers.
   void push_chunk(const media::Chunk& chunk);
 
   std::uint64_t peers() const noexcept { return live_peers_; }
@@ -70,7 +69,6 @@ class P2PMesh {
                std::uint32_t hop, TimeUs injected_at);
 
   sim::Simulator& sim_;
-  Params params_;
   Rng rng_;
   std::unordered_map<std::uint64_t, Peer> peers_;
   std::vector<std::uint64_t> live_ids_;  // for random seeding (may lag)

@@ -66,10 +66,8 @@ std::uint32_t ForwardingHierarchy::depth(DatacenterId site) const {
 
 MulticastTree::MulticastTree(sim::Simulator& sim,
                              const geo::DatacenterCatalog& catalog,
-                             const ForwardingHierarchy& hierarchy,
-                             Params params, Rng rng)
-    : sim_(sim), catalog_(catalog), hierarchy_(hierarchy), params_(params),
-      rng_(rng) {}
+                             const ForwardingHierarchy& hierarchy, Rng rng)
+    : sim_(sim), catalog_(catalog), hierarchy_(hierarchy), rng_(rng) {}
 
 MulticastTree::Node& MulticastTree::node_for(DatacenterId site) {
   auto it = nodes_.find(site.value);
@@ -84,11 +82,9 @@ MulticastTree::Node& MulticastTree::node_for(DatacenterId site) {
 DurationUs MulticastTree::hop_delay(DatacenterId from, DatacenterId to,
                                     std::size_t bytes) {
   const double km = catalog_.distance_km(from, to);
-  geo::LatencyModel latency;
-  const DurationUs prop = latency.sample_delay(km, rng_);
-  const double ser_s =
-      static_cast<double>(bytes) * 8.0 / params_.interdc_link.bandwidth_bps;
-  return prop + time::from_seconds(ser_s) + params_.graft_processing;
+  const DurationUs prop = geo::sample_delay(km, rng_);
+  const double ser_s = static_cast<double>(bytes) * 8.0 / kLinkBandwidthBps;
+  return prop + time::from_seconds(ser_s) + kGraftProcessing;
 }
 
 DurationUs MulticastTree::graft_path(DatacenterId site) {
@@ -135,8 +131,8 @@ std::uint64_t MulticastTree::join(const geo::GeoPoint& viewer_location,
   Viewer v;
   v.leaf = leaf_site;
   v.sink = std::move(sink);
-  auto lm = params_.viewer_last_mile;
-  lm.base_delay += geo::LatencyModel{}.mean_delay(geo::haversine_km(
+  auto lm = net::LastMileProfiles::wifi();
+  lm.base_delay += geo::mean_delay(geo::haversine_km(
       viewer_location, catalog_.get(leaf_site).location));
   v.last_mile = std::make_unique<net::Link>(sim_, lm, rng_.fork());
   viewers_.emplace(id, std::move(v));

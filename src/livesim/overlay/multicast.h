@@ -23,7 +23,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "livesim/cdn/resource_model.h"
 #include "livesim/geo/datacenters.h"
 #include "livesim/media/frame.h"
 #include "livesim/net/link.h"
@@ -59,20 +58,19 @@ class ForwardingHierarchy {
 
 /// One broadcast's multicast tree: forwarding state per datacenter node
 /// plus per-leaf viewer fan-out. Join = graft the path; leave = prune.
+/// Viewers hang off their leaf over net::LastMileProfiles::wifi().
 class MulticastTree {
  public:
+  /// Serialization rate of a tree hop between forwarding servers.
+  static constexpr double kLinkBandwidthBps = 1e9;
+  /// Per-hop forwarding (and graft) processing at a tree node.
+  static constexpr DurationUs kGraftProcessing = 5 * time::kMillisecond;
+
   /// (frame, arrival time at the viewer's leaf) delivered to one viewer.
   using ViewerSink = std::function<void(const media::VideoFrame&, TimeUs)>;
 
-  struct Params {
-    net::Link::Params interdc_link{};       // per-hop tree links
-    net::Link::Params viewer_last_mile{};   // leaf -> viewer
-    DurationUs graft_processing = 5 * time::kMillisecond;
-  };
-
   MulticastTree(sim::Simulator& sim, const geo::DatacenterCatalog& catalog,
-                const ForwardingHierarchy& hierarchy, Params params,
-                Rng rng);
+                const ForwardingHierarchy& hierarchy, Rng rng);
 
   /// Viewer joins via its nearest edge site. Join latency (request up the
   /// tree to the first on-tree node) is simulated; frames flow after the
@@ -133,7 +131,6 @@ class MulticastTree {
   sim::Simulator& sim_;
   const geo::DatacenterCatalog& catalog_;
   const ForwardingHierarchy& hierarchy_;
-  Params params_;
   Rng rng_;
 
   std::unordered_map<std::uint64_t, Node> nodes_;  // by site id

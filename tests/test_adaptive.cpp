@@ -8,13 +8,6 @@ namespace {
 
 constexpr DurationUs kChunk = 3 * time::kSecond;
 
-AdaptivePlayback::Params params(double initial_s, double max_s = 9.0) {
-  AdaptivePlayback::Params p;
-  p.initial_pre_buffer = time::from_seconds(initial_s);
-  p.max_pre_buffer = time::from_seconds(max_s);
-  return p;
-}
-
 // Chunks arrive every 3 s with a constant pipeline delay.
 void feed_steady(AdaptivePlayback& p, int n, DurationUs pipeline) {
   for (int i = 0; i < n; ++i) {
@@ -24,7 +17,7 @@ void feed_steady(AdaptivePlayback& p, int n, DurationUs pipeline) {
 }
 
 TEST(Adaptive, StableLinkKeepsLowBuffer) {
-  AdaptivePlayback p(params(6.0));
+  AdaptivePlayback p(6 * time::kSecond);
   feed_steady(p, 40, 4 * time::kSecond);
   EXPECT_EQ(p.rebuffer_events(), 0u);
   EXPECT_EQ(p.stall_ratio(), 0.0);
@@ -34,7 +27,7 @@ TEST(Adaptive, StableLinkKeepsLowBuffer) {
 }
 
 TEST(Adaptive, UnderRunGrowsBufferTowardMax) {
-  AdaptivePlayback p(params(3.0, 9.0));
+  AdaptivePlayback p(3 * time::kSecond);
   // Repeated 5 s outages: each late burst triggers a rebuffer + growth.
   DurationUs extra = 0;
   for (int i = 0; i < 60; ++i) {
@@ -49,7 +42,7 @@ TEST(Adaptive, UnderRunGrowsBufferTowardMax) {
 }
 
 TEST(Adaptive, GrowthIsCappedAtMax) {
-  AdaptivePlayback p(params(3.0, 9.0));
+  AdaptivePlayback p(3 * time::kSecond);
   for (int i = 0; i < 80; ++i) {
     const DurationUs media = static_cast<DurationUs>(i) * kChunk;
     // Pathological link: throughput below the bitrate, so arrivals drift
@@ -63,7 +56,7 @@ TEST(Adaptive, GrowthIsCappedAtMax) {
 }
 
 TEST(Adaptive, NeverStartsIsFullStall) {
-  AdaptivePlayback p(params(60.0));
+  AdaptivePlayback p(60 * time::kSecond);
   feed_steady(p, 3, time::kSecond);  // 9 s of media, 60 s target
   EXPECT_FALSE(p.started());
   EXPECT_EQ(p.stall_ratio(), 1.0);
@@ -72,7 +65,7 @@ TEST(Adaptive, NeverStartsIsFullStall) {
 TEST(Adaptive, BeatsFixedNineOnStableLinks) {
   // Same stable trace through fixed-9 and adaptive-from-6.
   PlaybackSchedule fixed9(9 * time::kSecond);
-  AdaptivePlayback adaptive(params(6.0));
+  AdaptivePlayback adaptive(6 * time::kSecond);
   for (int i = 0; i < 40; ++i) {
     const DurationUs media = static_cast<DurationUs>(i) * kChunk;
     fixed9.on_arrival(media + 4 * time::kSecond, media, kChunk);
@@ -84,7 +77,7 @@ TEST(Adaptive, BeatsFixedNineOnStableLinks) {
 }
 
 TEST(Adaptive, RecoversSmoothnessAfterGrowth) {
-  AdaptivePlayback p(params(3.0, 9.0));
+  AdaptivePlayback p(3 * time::kSecond);
   // One big outage early, then steady: after growth, no further stalls.
   for (int i = 0; i < 60; ++i) {
     const DurationUs media = static_cast<DurationUs>(i) * kChunk;

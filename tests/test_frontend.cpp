@@ -135,7 +135,7 @@ TEST(RtmpFrontend, DefenseKillsTamperedStream) {
   RtmpFrontend fe(auth, 7, nullptr, signer.root(), 5);
   ASSERT_EQ(fe.consume(connect_wire(auth.issue(7))), Verdict::kAcknowledged);
 
-  media::FrameSource src({}, Rng(1));
+  media::FrameSource src(Rng(1));
   bool killed = false;
   for (int i = 0; i < 10 && !killed; ++i) {
     auto f = src.next();
@@ -156,7 +156,7 @@ TEST(RtmpFrontend, DefensePassesCleanStream) {
 
   RtmpFrontend fe(auth, 7, nullptr, signer.root(), 5);
   ASSERT_EQ(fe.consume(connect_wire(auth.issue(7))), Verdict::kAcknowledged);
-  media::FrameSource src({}, Rng(2));
+  media::FrameSource src(Rng(2));
   for (int i = 0; i < 20; ++i) {
     auto f = src.next();
     f.payload.assign(32, static_cast<std::uint8_t>(i));

@@ -6,10 +6,8 @@
 namespace livesim::media {
 namespace {
 
-FrameSource::Params default_params() { return {}; }
-
 TEST(FrameSource, SequentialTimestamps) {
-  FrameSource src(default_params(), Rng(1));
+  FrameSource src(Rng(1));
   VideoFrame prev = src.next();
   for (int i = 1; i < 100; ++i) {
     const VideoFrame f = src.next();
@@ -20,9 +18,7 @@ TEST(FrameSource, SequentialTimestamps) {
 }
 
 TEST(FrameSource, KeyframeCadence) {
-  auto p = default_params();
-  p.gop_frames = 25;
-  FrameSource src(p, Rng(2));
+  FrameSource src(Rng(2));
   for (int i = 0; i < 100; ++i) {
     const VideoFrame f = src.next();
     EXPECT_EQ(f.keyframe, f.seq % 25 == 0) << "seq " << f.seq;
@@ -30,7 +26,7 @@ TEST(FrameSource, KeyframeCadence) {
 }
 
 TEST(FrameSource, KeyframesAreLarger) {
-  FrameSource src(default_params(), Rng(3));
+  FrameSource src(Rng(3));
   double key_sum = 0, other_sum = 0;
   int keys = 0, others = 0;
   for (int i = 0; i < 2000; ++i) {
@@ -47,25 +43,22 @@ TEST(FrameSource, KeyframesAreLarger) {
 }
 
 TEST(FrameSource, GopAverageNearMeanFrameBytes) {
-  auto p = default_params();
-  FrameSource src(p, Rng(4));
+  FrameSource src(Rng(4));
   double total = 0;
   const int n = 5000;
   for (int i = 0; i < n; ++i) total += src.next().size_bytes;
   const double mean = total / n;
-  EXPECT_NEAR(mean, p.mean_frame_bytes, p.mean_frame_bytes * 0.25);
+  EXPECT_NEAR(mean, kMeanFrameBytes, kMeanFrameBytes * 0.25);
 }
 
 TEST(FrameSource, StartOffsetShiftsCaptureTimes) {
-  FrameSource src(default_params(), Rng(5));
+  FrameSource src(Rng(5));
   const VideoFrame f = src.next(1000000);
   EXPECT_EQ(f.capture_ts, 1000000);
 }
 
-std::vector<VideoFrame> make_frames(int n, std::uint32_t gop = 25) {
-  FrameSource::Params p;
-  p.gop_frames = gop;
-  FrameSource src(p, Rng(6));
+std::vector<VideoFrame> make_frames(int n) {
+  FrameSource src(Rng(6));
   std::vector<VideoFrame> out;
   out.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) out.push_back(src.next());
@@ -73,7 +66,7 @@ std::vector<VideoFrame> make_frames(int n, std::uint32_t gop = 25) {
 }
 
 TEST(Chunker, SealsThreeSecondChunksOnKeyframes) {
-  Chunker chunker(Chunker::Params{});
+  Chunker chunker(kChunkTarget);
   const auto frames = make_frames(75 * 4 + 1);  // 4 chunks + sealer frame
   std::vector<Chunk> sealed;
   for (const auto& f : frames) {
@@ -90,7 +83,7 @@ TEST(Chunker, SealsThreeSecondChunksOnKeyframes) {
 }
 
 TEST(Chunker, BytesConserved) {
-  Chunker chunker(Chunker::Params{});
+  Chunker chunker(kChunkTarget);
   const auto frames = make_frames(75 * 3);
   std::uint64_t fed = 0, chunked = 0;
   for (const auto& f : frames) {
@@ -102,7 +95,7 @@ TEST(Chunker, BytesConserved) {
 }
 
 TEST(Chunker, FlushSealsPartialChunk) {
-  Chunker chunker(Chunker::Params{});
+  Chunker chunker(kChunkTarget);
   const auto frames = make_frames(10);
   for (const auto& f : frames) chunker.push(f, f.capture_ts);
   const auto c = chunker.flush(999);
@@ -113,35 +106,32 @@ TEST(Chunker, FlushSealsPartialChunk) {
 }
 
 TEST(Chunker, MaxDurationForcesSealWithoutKeyframe) {
-  Chunker::Params p;
-  p.target_duration = 3 * time::kSecond;
-  p.max_duration = 4 * time::kSecond;
-  Chunker chunker(p);
-  // GOP of 1000 frames: no keyframe arrives in time, max_duration governs.
-  const auto frames = make_frames(150, 1000);
+  Chunker chunker(3 * time::kSecond);
+  // Only the first frame is a keyframe: none arrives in time, and the
+  // cap of twice the target governs.
+  auto frames = make_frames(200);
+  for (auto& f : frames) f.keyframe = f.seq == 0;
   std::vector<Chunk> sealed;
   for (const auto& f : frames) {
     if (auto c = chunker.push(f, f.capture_ts)) sealed.push_back(*c);
   }
   ASSERT_GE(sealed.size(), 1u);
-  EXPECT_EQ(sealed[0].duration, 4 * time::kSecond);
+  EXPECT_EQ(sealed[0].duration, 6 * time::kSecond);
 }
 
 TEST(Chunker, PlaylistSlidingWindow) {
-  Chunker::Params p;
-  p.playlist_window = 3;
-  Chunker chunker(p);
+  Chunker chunker(kChunkTarget);
   const auto frames = make_frames(75 * 6 + 1);
   for (const auto& f : frames) chunker.push(f, f.capture_ts);
   const ChunkList& list = chunker.playlist();
-  EXPECT_EQ(list.chunks.size(), 3u);
-  EXPECT_EQ(list.latest_seq(), 5);  // 6 chunks sealed, window keeps 3..5
-  EXPECT_EQ(list.chunks.front().seq, 3u);
+  EXPECT_EQ(list.chunks.size(), 4u);
+  EXPECT_EQ(list.latest_seq(), 5);  // 6 chunks sealed, window keeps 2..5
+  EXPECT_EQ(list.chunks.front().seq, 2u);
   EXPECT_EQ(list.version, 6u);
 }
 
 TEST(Chunker, EmptyPlaylistLatestSeq) {
-  Chunker chunker(Chunker::Params{});
+  Chunker chunker(kChunkTarget);
   EXPECT_EQ(chunker.playlist().latest_seq(), -1);
 }
 
@@ -150,10 +140,7 @@ class ChunkDurationSweep
 
 TEST_P(ChunkDurationSweep, ChunkDurationTracksTarget) {
   const std::int64_t target_s = GetParam();
-  Chunker::Params p;
-  p.target_duration = target_s * time::kSecond;
-  p.max_duration = 2 * target_s * time::kSecond;
-  Chunker chunker(p);
+  Chunker chunker(target_s * time::kSecond);
   const auto frames = make_frames(2000);
   std::vector<Chunk> sealed;
   for (const auto& f : frames) {

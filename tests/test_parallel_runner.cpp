@@ -167,15 +167,12 @@ std::vector<BroadcastTrace> legacy_generate_traces(const TraceSetConfig& config)
     }
     net::FifoUplink uplink(sim, uplink_params, rng.fork());
 
-    media::FrameSource source({}, rng.fork());
-    media::Chunker::Params chunk_params;
-    chunk_params.target_duration = config.chunk_target;
-    chunk_params.max_duration = 2 * config.chunk_target;
-    media::Chunker chunker(chunk_params);
+    media::FrameSource source(rng.fork());
+    media::Chunker chunker(config.chunk_target);
 
     const auto frames = static_cast<std::uint64_t>(
-        config.broadcast_len / source.params().frame_interval);
-    trace.frame_interval = source.params().frame_interval;
+        config.broadcast_len / media::kFrameInterval);
+    trace.frame_interval = media::kFrameInterval;
     trace.frame_arrivals.resize(frames, 0);
 
     uplink.send(4096, [](TimeUs) {});

@@ -89,8 +89,7 @@ TEST_P(SessionChunkSweep, ChunkingDelayTracksConfig) {
   cfg.rtmp_viewers = 0;
   cfg.hls_viewers = 4;
   cfg.crawler_pollers = true;
-  cfg.chunker.target_duration = chunk_s * time::kSecond;
-  cfg.chunker.max_duration = 2 * chunk_s * time::kSecond;
+  cfg.chunk_target = chunk_s * time::kSecond;
   cfg.hls_prebuffer = 3 * chunk_s * time::kSecond;
   cfg.seed = 55 + static_cast<std::uint64_t>(chunk_s);
   core::BroadcastSession session(sim, catalog, cfg);

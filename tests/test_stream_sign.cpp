@@ -9,7 +9,7 @@ namespace livesim::security {
 namespace {
 
 std::vector<media::VideoFrame> make_frames(int n) {
-  media::FrameSource src(media::FrameSource::Params{}, Rng(1));
+  media::FrameSource src(Rng(1));
   std::vector<media::VideoFrame> out;
   Rng payload_rng(2);
   for (int i = 0; i < n; ++i) {
