@@ -35,7 +35,6 @@ class PlaybackSchedule {
 
   /// Total media time offered so far.
   DurationUs media_offered() const noexcept { return media_offered_; }
-  DurationUs media_discarded() const noexcept { return media_discarded_; }
 
   /// Fraction of offered media whose slot stalled (0 if nothing offered).
   /// Media that never got a schedule (playback never started) counts as

@@ -97,7 +97,6 @@ class FaultScenario {
 
   bool empty() const noexcept { return specs_.empty(); }
   std::size_t size() const noexcept { return specs_.size(); }
-  const std::vector<Spec>& specs() const noexcept { return specs_; }
 
   /// Expands every logical event into per-site FaultEvents (targets are
   /// catalog datacenter ids) merged into one time-ordered schedule.

@@ -57,7 +57,6 @@ class MerkleTree {
   explicit MerkleTree(std::vector<Digest> leaves);
 
   const Digest& root() const noexcept { return nodes_[1]; }
-  std::size_t leaf_count() const noexcept { return leaf_count_; }
 
   /// Sibling path from leaf `index` to the root.
   std::vector<Digest> auth_path(std::size_t index) const;

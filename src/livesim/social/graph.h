@@ -43,7 +43,6 @@ class Graph {
   /// notification fan-out. Call once after construction; adding edges
   /// afterwards invalidates it (rebuild). Doubles the memory footprint.
   void build_reverse();
-  bool has_reverse() const noexcept { return !in_.empty() || nodes() == 0; }
 
   /// Followers of `v` (nodes with an edge into v). Requires
   /// build_reverse().

@@ -81,10 +81,6 @@ class Correlation {
     return denom > 0.0 ? cxy_ / denom : 0.0;
   }
 
-  double covariance() const noexcept {
-    return n_ > 1 ? cxy_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-
  private:
   std::uint64_t n_ = 0;
   double mx_ = 0, my_ = 0;

@@ -41,11 +41,4 @@ double Sampler::fraction_geq(double x) const {
   return static_cast<double>(s.end() - it) / static_cast<double>(s.size());
 }
 
-std::vector<double> Sampler::cdf_series(const std::vector<double>& points) const {
-  std::vector<double> out;
-  out.reserve(points.size());
-  for (double p : points) out.push_back(cdf_at(p));
-  return out;
-}
-
 }  // namespace livesim::stats

@@ -61,9 +61,6 @@ class Sampler {
   /// Sorted copy of the samples (cached).
   const std::vector<double>& sorted() const;
 
-  /// Evaluates the CDF at `points` x-values; returns matching fractions.
-  std::vector<double> cdf_series(const std::vector<double>& points) const;
-
  private:
   std::vector<double> samples_;
   mutable std::vector<double> sorted_cache_;
