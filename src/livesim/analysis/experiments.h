@@ -84,6 +84,14 @@ PollingStats polling_experiment(const std::vector<BroadcastTrace>& traces,
 
 // --- §6: client buffering (Figures 16 & 17) ---
 
+// The trace replays' client timings (the paper's §6 assumptions): an RTMP
+// frame crosses a stable last mile in 80 ms, an HLS chunk downloads in
+// 150 ms, and a chunk reaches the edge 300 ms (mean) after it seals at
+// the ingest. The buffering and outage replays (resilience.h) share them.
+inline constexpr DurationUs kRtmpLastMile = 80 * time::kMillisecond;
+inline constexpr DurationUs kHlsDownload = 150 * time::kMillisecond;
+inline constexpr DurationUs kW2fOffset = 300 * time::kMillisecond;
+
 struct BufferingStats {
   stats::Sampler stall_ratio;        // per broadcast
   stats::Sampler mean_delay_s;       // per broadcast
