@@ -33,8 +33,10 @@
 // The viewers axis is {100k, 1M}; the 1M rung only runs when
 // LIVESIM_BENCH_SCALE=1 is set, so default CI wall-clock holds.
 //
-// Results land in BENCH_crowd.json next to BENCH_engine.json and
-// BENCH_control.json; scripts/check_crowd.sh greps the contract lines.
+// The bench exits 1 when any contract fails. Its deterministic results
+// land in BENCH_crowd.json, which CI diffs against the committed copy;
+// the host-dependent numbers (wall ns/join, peak RSS, measured shard
+// imbalance) are only printed, though the imbalance contract reads one.
 //
 // Usage: bench_crowd_service [out.json] [viewers]  (default 100000)
 #include <sys/resource.h>
@@ -131,8 +133,6 @@ struct ScalingRun {
   std::uint32_t sub_shards = 0;
   std::uint64_t joins = 0;
   double wall_ns = 0.0;
-  double wall_ns_per_join = 0.0;
-  long rss_kb = 0;
   double planned_speedup = 0.0;
   double shard_imbalance = 0.0;
   std::uint64_t fingerprint = 0;
@@ -153,8 +153,6 @@ ScalingRun run_scaling(const geo::DatacenterCatalog& catalog,
   out.joins = r.joins;
   out.wall_ns = static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-  out.wall_ns_per_join = out.wall_ns / static_cast<double>(r.joins ? r.joins : 1);
-  out.rss_kb = peak_rss_kb();
   out.planned_speedup = r.planned_speedup;
   out.shard_imbalance = r.shard_imbalance;
   out.fingerprint = r.fingerprint;
@@ -163,8 +161,8 @@ ScalingRun run_scaling(const geo::DatacenterCatalog& catalog,
               " joins=%" PRIu64 " wall_ns_per_join=%.0f rss_kb=%ld"
               " planned=%.2fx imbalance=%.2f\n",
               out.viewers, threads, sub_shards, out.joins,
-              out.wall_ns_per_join, out.rss_kb, out.planned_speedup,
-              out.shard_imbalance);
+              out.wall_ns / static_cast<double>(r.joins ? r.joins : 1),
+              peak_rss_kb(), out.planned_speedup, out.shard_imbalance);
   return out;
 }
 
@@ -172,15 +170,14 @@ void write_json(const char* path, const analysis::FlashCrowdConfig& cfg,
                 const analysis::FlashCrowdStats& on,
                 const analysis::FlashCrowdStats& off,
                 const std::vector<std::pair<unsigned, std::uint64_t>>& fps,
-                bool det_ok, double wall_ns_per_join,
-                const std::vector<ScalingRun>& scaling) {
+                bool det_ok, const std::vector<ScalingRun>& scaling) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
     std::exit(1);
   }
   std::fprintf(f, "{\n  \"bench\": \"crowd_service\",\n");
-  std::fprintf(f, "  \"schema_version\": 2,\n");
+  std::fprintf(f, "  \"schema_version\": 3,\n");
   std::fprintf(f, "  \"preset\": \"%s\",\n", cfg.preset.name.c_str());
   std::fprintf(f, "  \"viewers\": %" PRIu64 ",\n", on.viewers);
   std::fprintf(f, "  \"channels\": %u,\n", cfg.preset.channels);
@@ -242,20 +239,16 @@ void write_json(const char* path, const analysis::FlashCrowdConfig& cfg,
                ", \"orphaned_viewers\": %" PRIu64 "},\n",
                off.edge_failovers, off.edge_failover_latency_s.mean(),
                off.proactive_migrations, off.orphaned_viewers);
-  std::fprintf(f, "  \"wall_ns_per_join\": %.0f,\n", wall_ns_per_join);
   std::fprintf(f, "  \"scaling\": [\n");
   for (std::size_t i = 0; i < scaling.size(); ++i) {
     const ScalingRun& s = scaling[i];
     std::fprintf(f,
                  "    {\"viewers\": %" PRIu64 ", \"threads\": %u, "
                  "\"sub_shards\": %u, \"joins\": %" PRIu64
-                 ", \"wall_ns_per_join\": %.0f, \"peak_rss_kb\": %ld, "
-                 "\"planned_speedup\": %.3f, \"shard_imbalance\": %.3f, "
-                 "\"fingerprint\": \"%016" PRIx64
+                 ", \"planned_speedup\": %.3f, \"fingerprint\": \"%016" PRIx64
                  "\", \"crowd_fingerprint\": \"%016" PRIx64 "\"}%s\n",
                  s.viewers, s.threads, s.sub_shards, s.joins,
-                 s.wall_ns_per_join, s.rss_kb, s.planned_speedup,
-                 s.shard_imbalance, s.fingerprint, s.crowd_fingerprint,
+                 s.planned_speedup, s.fingerprint, s.crowd_fingerprint,
                  i + 1 < scaling.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n");
@@ -457,7 +450,7 @@ int main(int argc, char** argv) {
     std::printf("crowd_scaling 1M rung skipped (set LIVESIM_BENCH_SCALE=1)\n");
   }
 
-  write_json(out, cfg1, on, off, fps, det_ok, wall_ns_per_join, scaling);
+  write_json(out, cfg1, on, off, fps, det_ok, scaling);
   std::printf("wrote %s\n", out);
 
   if (!scale_ok || !adm_ok || !storm_ok || !steer_ok || !reattach_ok ||
