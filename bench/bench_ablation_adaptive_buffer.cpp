@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "livesim/analysis/experiments.h"
+#include "livesim/cdn/delivery_backend.h"
 #include "livesim/client/adaptive.h"
 #include "livesim/client/playback.h"
 #include "livesim/stats/report.h"
@@ -28,7 +29,7 @@ Row evaluate(const std::vector<analysis::BroadcastTrace>& traces,
              Factory make_player, bool bursty_only, bool stable_only) {
   stats::Sampler stall, delay;
   Rng rng(17);
-  const DurationUs poll = time::from_seconds(2.8);
+  const DurationUs poll = cdn::kHlsPollInterval;
   for (const auto& trace : traces) {
     if (bursty_only && !trace.bursty) continue;
     if (stable_only && trace.bursty) continue;

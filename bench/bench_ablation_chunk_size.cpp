@@ -12,6 +12,7 @@
 
 #include "livesim/analysis/experiments.h"
 #include "livesim/cdn/resource_model.h"
+#include "livesim/media/encoder.h"
 #include "livesim/stats/report.h"
 
 int main() {
@@ -46,7 +47,8 @@ int main() {
     const double e2e = 0.3 + chunking.mean() + 0.3 +
                        polling.per_broadcast_mean_s.mean() + buffer_s;
     const double cpu = cdn::hls_cpu_percent(
-        300, 25.0, time::to_seconds(poll), chunking.mean());
+        300, media::kFramesPerSecond, time::to_seconds(poll),
+        chunking.mean());
 
     table.add_row({stats::Table::num(chunk_s, 0) + "s",
                    stats::Table::num(chunking.mean(), 2),

@@ -8,7 +8,9 @@
 // per viewer). This bench measures all three on the same audiences.
 #include <cstdio>
 
+#include "livesim/cdn/delivery_backend.h"
 #include "livesim/cdn/resource_model.h"
+#include "livesim/media/chunker.h"
 #include "livesim/media/encoder.h"
 #include "livesim/overlay/mesh.h"
 #include "livesim/overlay/multicast.h"
@@ -17,6 +19,11 @@
 
 namespace {
 using namespace livesim;
+
+// The delivery cadence the cost curves take: frames/s, poll and chunk s.
+constexpr double kFps = media::kFramesPerSecond;
+constexpr double kPollS = time::to_seconds(cdn::kHlsPollInterval);
+constexpr double kChunkS = time::to_seconds(media::kChunkTarget);
 
 struct MeshRun {
   double mean_delay_s = 0;
@@ -109,19 +116,19 @@ int main() {
     // RTMP unicast: ingest pushes 25 fps to every viewer.
     table.add_row({stats::Table::integer(v), "RTMP unicast",
                    stats::Table::num(rtmp_delay, 1),
-                   stats::Table::num(cdn::rtmp_cpu_percent(v, 25.0), 1),
+                   stats::Table::num(cdn::rtmp_cpu_percent(v, kFps), 1),
                    "1 conn/viewer @ ingest", "yes"});
     // HLS polling.
     table.add_row({stats::Table::integer(v), "HLS polling",
                    stats::Table::num(hls_delay, 1),
                    stats::Table::num(
-                       cdn::hls_cpu_percent(v, 25.0, 2.8, 3.0), 1),
+                       cdn::hls_cpu_percent(v, kFps, kPollS, kChunkS), 1),
                    "none (stateless polls)", "no (10+ s lag)"});
     // Overlay multicast (simulate a capped cohort, state is region-bound).
     const auto tree = run_tree(std::min(v, 3000u), 17);
     // Ingest work: one 25 fps push per top-level child, not per viewer.
     const double ingest_cpu = cdn::rtmp_cpu_percent(
-        static_cast<std::uint32_t>(tree.root_egress_per_frame), 25.0);
+        static_cast<std::uint32_t>(tree.root_egress_per_frame), kFps);
     table.add_row(
         {stats::Table::integer(v), "overlay multicast",
          stats::Table::num(tree.mean_delay_s, 1),
@@ -136,7 +143,7 @@ int main() {
          stats::Table::num(
              cdn::rtmp_cpu_percent(
                  static_cast<std::uint32_t>(mesh.server_chunks_per_chunk),
-                 1.0 / 3.0),
+                 1.0 / kChunkS),
              1),
          "peer state only (" +
              stats::Table::num(mesh.server_chunks_per_chunk, 0) +

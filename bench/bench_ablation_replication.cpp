@@ -9,6 +9,7 @@
 // distribution.
 #include <cstdio>
 
+#include "livesim/cdn/delivery_backend.h"
 #include "livesim/cdn/w2f.h"
 #include "livesim/stats/report.h"
 #include "livesim/stats/sampler.h"
@@ -75,7 +76,8 @@ int main() {
         // Poll-triggered: expiry notice + waiting for the first poll
         // (audience-size dependent: more viewers poll sooner).
         const double polls_per_s =
-            static_cast<double>(std::max(1u, b.hls_viewers())) / 2.8;
+            static_cast<double>(std::max(1u, b.hls_viewers())) /
+            time::to_seconds(cdn::kHlsPollInterval);
         const DurationUs wait = static_cast<DurationUs>(
             rng.exponential(1.0 / polls_per_s) *
             static_cast<double>(time::kSecond));

@@ -8,8 +8,20 @@
 #include <cstdio>
 
 #include "livesim/analysis/experiments.h"
+#include "livesim/cdn/delivery_backend.h"
 #include "livesim/cdn/resource_model.h"
+#include "livesim/media/chunker.h"
+#include "livesim/media/encoder.h"
 #include "livesim/stats/report.h"
+
+namespace {
+using namespace livesim;
+
+// The delivery cadence the cost curves take: frames/s, poll and chunk s.
+constexpr double kFps = media::kFramesPerSecond;
+constexpr double kPollS = time::to_seconds(cdn::kHlsPollInterval);
+constexpr double kChunkS = time::to_seconds(media::kChunkTarget);
+}  // namespace
 
 int main() {
   using namespace livesim;
@@ -30,8 +42,8 @@ int main() {
     const std::uint32_t hls_v = audience - rtmp_v;
     const double mean_delay =
         (rtmp_v * rtmp_e2e + hls_v * hls_e2e) / audience;
-    const double cpu = cdn::rtmp_cpu_percent(rtmp_v, 25.0) +
-                       cdn::hls_cpu_percent(hls_v, 25.0, 2.8, 3.0) -
+    const double cpu = cdn::rtmp_cpu_percent(rtmp_v, kFps) +
+                       cdn::hls_cpu_percent(hls_v, kFps, kPollS, kChunkS) -
                        cdn::kBaselinePercent;
     table.add_row(
         {stats::Table::integer(slots), stats::Table::integer(rtmp_v),
@@ -46,8 +58,8 @@ int main() {
               "slot costs ~%.2f CPU%% of one core per broadcast; at 100 "
               "slots a single server saturates near %d concurrent popular "
               "broadcasts.\n",
-              rtmp_e2e, hls_e2e, cdn::kFramePushUs * 25.0 / 1e4,
+              rtmp_e2e, hls_e2e, cdn::kFramePushUs * kFps / 1e4,
               static_cast<int>(100.0 /
-                               (cdn::rtmp_cpu_percent(100, 25.0))));
+                               (cdn::rtmp_cpu_percent(100, kFps))));
   return 0;
 }

@@ -17,6 +17,8 @@
 namespace {
 using namespace livesim;
 
+constexpr double kFrameS = time::to_seconds(media::kFrameInterval);
+
 std::vector<media::VideoFrame> capture(int n) {
   media::FrameSource src(Rng(1));
   Rng payload(2);
@@ -68,7 +70,7 @@ int main() {
     const double us_per_frame =
         std::chrono::duration<double, std::micro>(t1 - t0).count() / kFrames;
     const double bytes_per_s =
-        static_cast<double>(sig_bytes) / (kFrames * 0.04);
+        static_cast<double>(sig_bytes) / (kFrames * kFrameS);
     table.add_row(
         {"sign every " + std::to_string(window) + " frames",
          stats::Table::num(setup_ms, 0),
@@ -77,7 +79,7 @@ int main() {
          stats::Table::percent(
              static_cast<double>(sig_bytes) / static_cast<double>(video_bytes),
              1),
-         "yes", stats::Table::num(window * 0.04, 2) + "s"});
+         "yes", stats::Table::num(window * kFrameS, 2) + "s"});
   }
 
   {
@@ -94,7 +96,7 @@ int main() {
         {"RTMPS (encrypt-then-MAC)", "0", stats::Table::num(us_per_frame, 1),
          stats::Table::integer(static_cast<std::int64_t>(
              static_cast<double>(wire_bytes - video_bytes) /
-             (kFrames * 0.04))),
+             (kFrames * kFrameS))),
          stats::Table::percent(static_cast<double>(wire_bytes - video_bytes) /
                                    static_cast<double>(video_bytes),
                                1),

@@ -18,8 +18,10 @@
 #include <thread>
 
 #include "livesim/analysis/experiments.h"
+#include "livesim/cdn/delivery_backend.h"
 #include "livesim/cdn/resource_model.h"
 #include "livesim/cdn/servers.h"
+#include "livesim/media/chunker.h"
 #include "livesim/media/encoder.h"
 #include "livesim/sim/simulator.h"
 #include "livesim/stats/report.h"
@@ -27,6 +29,11 @@
 
 namespace {
 using namespace livesim;
+
+// The delivery cadence the cost curves take: frames/s, poll and chunk s.
+constexpr double kFps = media::kFramesPerSecond;
+constexpr double kPollS = time::to_seconds(cdn::kHlsPollInterval);
+constexpr double kChunkS = time::to_seconds(media::kChunkTarget);
 
 // Position-sensitive FNV-style fingerprint of a trace set: any reordering
 // or single-tick change shows up. Used to certify that the sharded runs
@@ -52,7 +59,7 @@ double measured_rtmp_cpu(std::uint32_t viewers) {
         [](const media::VideoFrame&, TimeUs) { return true; });
   media::FrameSource src(Rng(1));
   const DurationUs horizon = 30 * time::kSecond;
-  for (TimeUs t = 0; t < horizon; t += 40 * time::kMillisecond)
+  for (TimeUs t = 0; t < horizon; t += media::kFrameInterval)
     server.on_frame(src.next());
   return server.cpu().percent_over(horizon);
 }
@@ -67,10 +74,10 @@ int main() {
                       "HLS CPU% (model)"});
   for (std::uint32_t v = 100; v <= 500; v += 100) {
     table.add_row({stats::Table::integer(v),
-                   stats::Table::num(cdn::rtmp_cpu_percent(v, 25.0), 1),
+                   stats::Table::num(cdn::rtmp_cpu_percent(v, kFps), 1),
                    stats::Table::num(measured_rtmp_cpu(v), 1),
                    stats::Table::num(
-                       cdn::hls_cpu_percent(v, 25.0, 2.8, 3.0), 1)});
+                       cdn::hls_cpu_percent(v, kFps, kPollS, kChunkS), 1)});
   }
   table.print();
 
@@ -79,7 +86,7 @@ int main() {
   std::printf("RTMP work scales with viewers x 25 fps frame pushes; HLS "
               "with viewers x ~0.36 polls/s -- a ~%.0fx operation-rate "
               "difference.\n",
-              25.0 / (1.0 / 2.8));
+              kFps / (1.0 / kPollS));
 
   // --- Part 2: the parallel experiment runner's CPU scalability.
   stats::print_banner(

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "livesim/analysis/experiments.h"
+#include "livesim/cdn/delivery_backend.h"
 #include "livesim/stats/csv.h"
 #include "livesim/stats/report.h"
 
@@ -18,7 +19,7 @@ int main() {
   cfg.threads = threads;
   const auto traces = analysis::generate_traces(cfg);
 
-  const DurationUs poll = time::from_seconds(2.8);
+  const DurationUs poll = cdn::kHlsPollInterval;
   const DurationUs pre_buffers[] = {0, 3 * time::kSecond, 6 * time::kSecond,
                                     9 * time::kSecond};
   std::vector<analysis::BufferingStats> results;

@@ -7,9 +7,21 @@
 // of the paper's scalability-vs-interactivity tension.
 #include <cstdio>
 
+#include "livesim/cdn/delivery_backend.h"
 #include "livesim/cdn/resource_model.h"
+#include "livesim/media/chunker.h"
+#include "livesim/media/encoder.h"
 #include "livesim/stats/report.h"
 #include "livesim/workload/generator.h"
+
+namespace {
+using namespace livesim;
+
+// The delivery cadence the cost curves take: frames/s, poll and chunk s.
+constexpr double kFps = media::kFramesPerSecond;
+constexpr double kPollS = time::to_seconds(cdn::kHlsPollInterval);
+constexpr double kChunkS = time::to_seconds(media::kChunkTarget);
+}  // namespace
 
 int main() {
   using namespace livesim;
@@ -48,12 +60,12 @@ int main() {
     const double avg_hls = wk.hls_viewers / wk.concurrent_broadcasts;
     const double ingest_cores =
         wk.concurrent_broadcasts *
-        cdn::rtmp_cpu_percent(static_cast<std::uint32_t>(avg_rtmp), 25.0) /
+        cdn::rtmp_cpu_percent(static_cast<std::uint32_t>(avg_rtmp), kFps) /
         100.0;
     const double edge_cores =
         wk.concurrent_broadcasts *
-        (cdn::hls_cpu_percent(static_cast<std::uint32_t>(avg_hls), 25.0,
-                               2.8, 3.0) -
+        (cdn::hls_cpu_percent(static_cast<std::uint32_t>(avg_hls), kFps,
+                               kPollS, kChunkS) -
          cdn::kBaselinePercent) /
         100.0;
     table.add_row({stats::Table::integer(static_cast<std::int64_t>(w)),

@@ -8,9 +8,21 @@
 // look like, and what the servers carry at the peak.
 #include <cstdio>
 
+#include "livesim/cdn/delivery_backend.h"
 #include "livesim/cdn/resource_model.h"
+#include "livesim/media/chunker.h"
+#include "livesim/media/encoder.h"
 #include "livesim/stats/report.h"
 #include "livesim/workload/audience.h"
+
+namespace {
+using namespace livesim;
+
+// The delivery cadence the cost curves take: frames/s, poll and chunk s.
+constexpr double kFps = media::kFramesPerSecond;
+constexpr double kPollS = time::to_seconds(cdn::kHlsPollInterval);
+constexpr double kChunkS = time::to_seconds(media::kChunkTarget);
+}  // namespace
 
 int main() {
   using namespace livesim;
@@ -59,16 +71,16 @@ int main() {
                   .c_str());
   std::printf("ingest CPU:  %.0f%% of one core (RTMP fan-out is capped by "
               "the slot policy)\n",
-              cdn::rtmp_cpu_percent(rtmp, 25.0));
+              cdn::rtmp_cpu_percent(rtmp, kFps));
   std::printf("edge CPU:    %.1f cores across the CDN for %s concurrent "
               "HLS pollers at the peak\n",
-              (cdn::hls_cpu_percent(curve.peak, 25.0, 2.8, 3.0) -
+              (cdn::hls_cpu_percent(curve.peak, kFps, kPollS, kChunkS) -
                cdn::kBaselinePercent) / 100.0,
               stats::Table::integer(curve.peak).c_str());
   std::printf("\nIf instead everyone got RTMP interactivity: %.0f cores of "
               "frame-pushing at the peak -- the scalability wall that made "
               "Periscope cap interaction at %u viewers.\n",
-              cdn::rtmp_cpu_percent(curve.peak, 25.0) / 100.0, kSlots);
+              cdn::rtmp_cpu_percent(curve.peak, kFps) / 100.0, kSlots);
   std::printf("(The §8 overlay tree would serve the same peak from ~24 "
               "forwarding sites; see bench_ablation_overlay_multicast.)\n");
   return 0;

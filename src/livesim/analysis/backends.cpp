@@ -3,6 +3,8 @@
 #include "livesim/cdn/delivery_backend.h"
 #include "livesim/cdn/resource_model.h"
 #include "livesim/geo/datacenters.h"
+#include "livesim/media/chunker.h"
+#include "livesim/media/encoder.h"
 #include "livesim/sim/parallel.h"
 #include "livesim/sim/simulator.h"
 #include "livesim/util/fingerprint.h"
@@ -59,8 +61,8 @@ BackendBreakdownResult backend_breakdown_experiment(int repetitions,
 
 std::vector<CrossoverPoint> backend_cost_sweep(
     const std::vector<std::uint32_t>& viewer_counts) {
-  constexpr double kFps = 25.0;
-  constexpr double kChunkS = 3.0;
+  constexpr double kFps = media::kFramesPerSecond;
+  constexpr double kChunkS = time::to_seconds(media::kChunkTarget);
   constexpr double kPollS = time::to_seconds(cdn::kHlsPollInterval);
   constexpr double kPartS = time::to_seconds(cdn::kLlHlsPartDuration);
   std::vector<CrossoverPoint> out;
