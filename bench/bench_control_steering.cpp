@@ -10,7 +10,7 @@
 // reproduce capacity_spill_experiment bit for bit (same samples, same
 // order, same spill ledgers) — and at edge_capacity == 0 that
 // experiment in turn reproduces the single-pass regional experiment.
-// CI greps the "identical: yes" lines.
+// The bench exits 1 on any mismatch, as on every contract below.
 //
 // Part 2 sweeps the same capacity x outage-radius blackout grid as
 // bench_resilience_capacity_spill with the scrape/steer model ON, and
@@ -30,8 +30,8 @@
 // tight capacity shows the overlay assist parking capacity orphans on
 // the P2P mesh.
 //
-// Results land in BENCH_control.json (grid + fingerprints) so CI can
-// archive them next to BENCH_engine.json.
+// Results land in BENCH_control.json (grid + fingerprints), which CI
+// diffs against the committed copy.
 //
 // Usage: bench_control_steering [out.json] [broadcasts]  (default 300)
 #include <cinttypes>

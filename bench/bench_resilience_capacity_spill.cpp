@@ -8,8 +8,7 @@
 // Part 1 certifies the PARITY contract: with edge_capacity == 0 the
 // driver must reproduce the single-pass regional experiment bit for bit
 // — same stall samples in the same order, same failover latencies, same
-// counters — at several radii. scripts/check_resilience.sh greps the
-// "identical: yes" lines.
+// counters — at several radii; the bench exits 1 on any mismatch.
 //
 // Part 2 sweeps capacity x outage radius: as capacity tightens, failed-
 // over viewers overflow past full PoPs (spills), travel farther

@@ -5,8 +5,8 @@
 // (analysis/resilience.h): stall ratio, rebuffer events, RTMP->HLS
 // failover latency, and the unrecoverable-viewer fraction all grow with
 // the fault rate, while the zero-rate row degenerates to the sunny-day
-// baseline (no failovers, no retries — asserted, and printed in a form
-// scripts/check_resilience.sh greps for).
+// baseline (no failovers, no retries — printed, and the bench exits 1
+// if it does not hold).
 //
 // Part 2 certifies the determinism contract: the same seed produces a
 // bit-identical ResilienceStats at threads {1, 2, 8}.
@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
          stats::Table::integer(
              static_cast<std::int64_t>(r.counters.chunk_refetches))});
     if (rate == 0.0) {
-      // The greppable contract line for scripts/check_resilience.sh: a
-      // zero fault rate must be indistinguishable from no fault subsystem.
+      // The no-fault contract: a zero fault rate must be
+      // indistinguishable from no fault subsystem.
       std::printf("no-fault baseline: faults=%llu failovers=%llu "
                   "unrecoverable=%llu refetches=%llu rebuffer_mean=%.3f\n",
                   static_cast<unsigned long long>(r.counters.faults_injected),

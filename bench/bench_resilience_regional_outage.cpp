@@ -7,9 +7,9 @@
 // cold-cache W2F pull wherever it lands, so distance does not enter it.
 // This single-pass replay is the reference the capacity-spill driver is
 // held to (bench_resilience_capacity_spill, part 1).
-// The zero-radius row is the contract scripts/check_resilience.sh greps
-// for: a single-PoP death must re-anycast 100% of its viewers (failovers
-// == affected) with zero orphans.
+// The zero-radius row is a contract the bench exits 1 on: a single-PoP
+// death must re-anycast 100% of its viewers (failovers == affected) with
+// zero orphans.
 //
 // Part 2 certifies the determinism contract: the same seed produces a
 // bit-identical RegionalOutageStats at threads {1, 2, 8} (per-trace RNG
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
          stats::Table::num(
              100.0 * static_cast<double>(r.counters.orphaned) / denom, 2)});
     if (radius == 0.0) {
-      // The greppable contract: a single dead PoP re-anycasts every one
+      // The zero-radius contract: a single dead PoP re-anycasts every one
       // of its viewers -- no orphans, failovers == affected.
       std::printf("zero-radius contract: dark_edges=%zu affected=%llu "
                   "failovers=%llu orphaned=%llu\n",

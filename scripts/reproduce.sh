@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 OUT="${1:-reproduction}"
 mkdir -p "$OUT"
 
-cmake -B build -G Ninja
+cmake -B build
 cmake --build build
 
 ctest --test-dir build --output-on-failure 2>&1 | tee "$OUT/test_output.txt"
