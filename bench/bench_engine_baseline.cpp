@@ -7,12 +7,16 @@
 // host, so they stay on stdout.
 //
 //   schedule_run   -- schedule N events at pseudo-random times, drain.
-//                     The pure scheduling + dispatch hot path.
+//                     The pure scheduling + dispatch hot path: the times
+//                     span 256 of the calendar queue's 1024 us windows,
+//                     so each lands in a ring bucket and reaches a window
+//                     heap of ~N/256 events when its window comes up.
 //   cancel_heavy   -- schedule N, cancel every other handle, drain.
-//                     The O(1)-cancel + indexed-heap-splice path
+//                     The O(1)-cancel + ring-unlink path
 //                     (retransmit-timer-style workloads).
 //   periodic_heavy -- K PeriodicProcesses ticking through T of simulated
-//                     time. The re-arm-in-place fast path.
+//                     time. The re-arm-in-place fast path; most re-arms
+//                     land in the current window's heap.
 //   flash_crowd    -- 100k HLS viewers polling one edge at 2.8 s via the
 //                     bucketed PollWheel (one engine event per bucket
 //                     tick fans out to the cohort), against the same

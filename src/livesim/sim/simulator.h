@@ -10,14 +10,19 @@
 // handles. Slots are allocated in fixed-size chunks so their addresses are
 // stable for the slab's lifetime -- callbacks are invoked in place, never
 // moved, and a PeriodicProcess re-arms its slot and closure verbatim every
-// tick. A 4-ary min-heap of (time, seq, slot) entries orders the queue; a
-// parallel heap-position array lets cancel() splice an entry out
-// immediately, so there are no tombstones and no hash sets anywhere.
-// Callbacks are stored in a 64-byte small-buffer-optimized EventFn, so the
-// common schedule performs zero heap allocations.
+// tick. An exact calendar queue orders the events by (time, seq): the
+// current 1024 us window is a small indexed 4-ary heap, the next 4095
+// windows (~4.2 s) are intrusive lists in a ring of buckets, and anything
+// later waits in a second indexed heap until the ring's horizon reaches
+// it. A bucket joins the window heap only when the window reaches it, so
+// scheduling into a future window is O(1). cancel() unlinks or splices an
+// entry out immediately, so there are no tombstones and no hash sets
+// anywhere. Callbacks are stored in a 64-byte small-buffer-optimized
+// EventFn, so the common schedule performs zero heap allocations.
 #ifndef LIVESIM_SIM_SIMULATOR_H
 #define LIVESIM_SIM_SIMULATOR_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -70,7 +75,7 @@ class Simulator {
       s.fn.emplace(std::forward<F>(fn));
     }
     s.state = SlotState::kQueued;
-    heap_push(HeapEntry{t, next_seq_++, idx});
+    enqueue(t, idx);
     return EventHandle{idx, s.generation};
   }
 
@@ -82,8 +87,9 @@ class Simulator {
   }
 
   /// Cancels a pending event. Returns false if it already ran, was already
-  /// cancelled, or never existed. The heap entry is spliced out on the
-  /// spot: cancelled events occupy no memory and are never re-examined.
+  /// cancelled, or never existed. The queue entry is unlinked or spliced
+  /// out on the spot: cancelled events occupy no memory and are never
+  /// re-examined.
   bool cancel(EventHandle h);
 
   /// Re-arms the event currently being fired at absolute time `t`
@@ -104,7 +110,9 @@ class Simulator {
   /// Runs at most `n` further events; returns how many actually ran.
   std::size_t step(std::size_t n = 1);
 
-  std::size_t pending() const noexcept { return heap_.size(); }
+  std::size_t pending() const noexcept {
+    return window_.size() + ring_size_ + far_.size();
+  }
   std::size_t events_processed() const noexcept { return processed_; }
 
  private:
@@ -123,6 +131,17 @@ class Simulator {
     bool executing = false;  // operator() frames on the stack right now
   };
 
+  // Calendar geometry. Window w covers [w << kWindowShift, (w + 1) <<
+  // kWindowShift). The current window's events sit in window_; those of
+  // the next kBuckets - 1 windows in ring bucket (w & kBucketMask); later
+  // ones in far_. The current window's own bucket is therefore always
+  // empty.
+  static constexpr unsigned kWindowShift = 10;  // 1024 us windows
+  static constexpr unsigned kBucketShift = 12;  // 4096 buckets: ~4.2 s
+  static constexpr std::uint32_t kBuckets = 1u << kBucketShift;
+  static constexpr std::uint32_t kBucketMask = kBuckets - 1;
+  static constexpr std::uint32_t kNil = EventHandle::kInvalidIndex;
+
   // The ordering key lives inline in the heap entry so sift compares never
   // chase a pointer into the slab.
   struct HeapEntry {
@@ -131,9 +150,18 @@ class Simulator {
     std::uint32_t slot;
   };
 
+  struct Key {
+    TimeUs time;
+    std::uint64_t seq;
+  };
+
   static bool earlier(const HeapEntry& a, const HeapEntry& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
+  }
+
+  static std::uint64_t window_of(TimeUs t) noexcept {
+    return static_cast<std::uint64_t>(t) >> kWindowShift;
   }
 
   Slot& slot(std::uint32_t idx) noexcept {
@@ -142,23 +170,49 @@ class Simulator {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t idx);
-  void heap_push(HeapEntry e);
-  void heap_pop_root();
-  void heap_erase(std::uint32_t pos);
-  void heap_sift_up(std::uint32_t pos);
-  void heap_sift_down(std::uint32_t pos);
 
-  bool pop_one();  // runs the earliest event, if any
+  void enqueue(TimeUs t, std::uint32_t idx);  // fresh seq, then file()
+  void file(std::uint32_t idx);    // into the region key_[idx] falls in
+  void unfile(std::uint32_t idx);  // out of it again (cancel)
+  void ring_link(std::uint32_t idx, std::uint32_t bucket);
+  void ring_unlink(std::uint32_t idx);
+  void mark_empty(std::uint32_t bucket);  // clears the bucket's mask bit
+  std::uint32_t next_bucket(std::uint32_t from) const noexcept;
+  bool fill_window(TimeUs limit);
+  void advance_to(std::uint64_t window);
+
+  void heap_push(std::vector<HeapEntry>& h, HeapEntry e);
+  void heap_pop_root(std::vector<HeapEntry>& h);
+  void heap_erase(std::vector<HeapEntry>& h, std::uint32_t pos);
+  void heap_sift_up(std::vector<HeapEntry>& h, std::uint32_t pos);
+  void heap_sift_down(std::vector<HeapEntry>& h, std::uint32_t pos);
+
+  bool pop_one();    // runs the earliest event, if any
+  void fire_top();   // runs window_'s root
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
-  std::vector<HeapEntry> heap_;  // 4-ary min-heap over (time, seq)
-  // Per-slot bookkeeping kept out of the slot so sift write-backs touch a
-  // dense 4-byte-stride array: heap position while kQueued, next-free
-  // link while kFree.
-  std::vector<std::uint32_t> heap_pos_;
+  std::vector<HeapEntry> window_;  // 4-ary min-heap: the current window
+  std::vector<HeapEntry> far_;     // 4-ary min-heap: beyond the ring
+  // Per-slot queue bookkeeping, kept out of the slot so the queue never
+  // touches a closure's cache lines: the (time, seq) key of a queued
+  // event, its position in window_ or far_ (or its next link in a ring
+  // bucket, or in the free list while the slot is free), and its
+  // previous link in a ring bucket.
+  std::vector<Key> key_;
+  std::vector<std::uint32_t> pos_;
+  std::vector<std::uint32_t> prev_;
+  std::vector<std::uint32_t> bucket_head_ =
+      std::vector<std::uint32_t>(kBuckets, kNil);
+  // Non-empty buckets: bit (b & 63) of ring_bits_[b >> 6], and bit i of
+  // ring_words_ while ring_bits_[i] is non-zero.
+  std::array<std::uint64_t, kBuckets / 64> ring_bits_{};
+  std::uint64_t ring_words_ = 0;
+  static_assert(kBuckets / 64 == 64, "ring_words_ summarizes one word");
+  std::size_t ring_size_ = 0;
+  std::uint64_t base_window_ = 0;  // the current window; never after now_'s
   std::uint32_t slot_count_ = 0;
-  std::uint32_t free_head_ = EventHandle::kInvalidIndex;
-  std::uint32_t running_slot_ = EventHandle::kInvalidIndex;
+  std::uint32_t free_head_ = kNil;
+  std::uint32_t running_slot_ = kNil;
   TimeUs now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t processed_ = 0;

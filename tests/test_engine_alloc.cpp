@@ -129,6 +129,43 @@ TEST(EngineAllocations, PeriodicSteadyStateTickingIsAllocationFree) {
   EXPECT_EQ(ticks_seen, 1006u);
 }
 
+TEST(EngineAllocations, WarmEventsAcrossTheCalendarHorizonAreAllocationFree) {
+  // Delays from zero to three calendar horizons (4096 windows of 1024 us)
+  // ahead: events fill the current window's heap, the ring of future
+  // windows and the far heap beyond it, far events migrate into the ring as
+  // the window advances, and cancels hit all three.
+  constexpr int kEvents = 4096;
+  constexpr TimeUs kSpan = 3 * 4096 * 1024;
+  const auto delay = [](int i) -> TimeUs {
+    return (i & 3) == 0 ? i % 1024 : (static_cast<TimeUs>(i) * 104729) % kSpan;
+  };
+  Simulator sim;
+  std::uint64_t sink = 0;
+  std::vector<EventHandle> handles(2 * kEvents);
+  const auto round = [&](int copies) {
+    const TimeUs now = sim.now();
+    for (int c = 0; c < copies; ++c)
+      for (int i = 0; i < kEvents; ++i)
+        handles[static_cast<std::size_t>(c * kEvents + i)] =
+            sim.schedule_at(now + delay(i), [&sink] { ++sink; });
+    for (int i = 0; i < copies * kEvents; i += 5)
+      EXPECT_TRUE(sim.cancel(handles[static_cast<std::size_t>(i)]));
+    sim.run();
+  };
+  // Warm-up: two copies of the measured round, so every region's storage
+  // grows past what one copy needs.
+  round(2);
+  const std::uint64_t before = allocation_count();
+  round(1);
+  EXPECT_EQ(allocation_count() - before, 0u)
+      << "a warm engine allocated for events spanning the horizon";
+  EXPECT_EQ(sim.pending(), 0u);
+  // Every fifth event of a round is cancelled.
+  const auto survivors = [](int n) { return n - (n + 4) / 5; };
+  EXPECT_EQ(sink, static_cast<std::uint64_t>(survivors(2 * kEvents) +
+                                             survivors(kEvents)));
+}
+
 TEST(EngineAllocations, WarmUplinkSendsOfSmallCapturesAreAllocationFree) {
   Simulator sim;
   net::FifoUplink uplink(sim, net::LastMileProfiles::stable_uplink(), Rng(1));
