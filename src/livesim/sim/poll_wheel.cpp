@@ -1,9 +1,14 @@
 #include "livesim/sim/poll_wheel.h"
 
+#include <bit>
+#include <stdexcept>
+
 namespace livesim::sim {
 
 PollWheel::PollWheel(Simulator& sim, DurationUs period, std::uint32_t buckets)
     : sim_(sim) {
+  if (buckets > kMaxBuckets)
+    throw std::invalid_argument("PollWheel: more than 64 buckets");
   if (buckets == 0) buckets = 1;
   slot_width_ = period / static_cast<DurationUs>(buckets);
   if (slot_width_ < 1) slot_width_ = 1;
@@ -69,6 +74,7 @@ CohortSlot PollWheel::attach(TimeUs first_tick, std::uint64_t tag) {
   else
     bucket_head_[b] = idx;
   bucket_tail_[b] = idx;
+  nonempty_ |= std::uint64_t{1} << b;
 
   if (bucket_due_[b] < 0 || first_tick < bucket_due_[b])
     bucket_due_[b] = first_tick;
@@ -96,6 +102,7 @@ bool PollWheel::detach(CohortSlot s) {
 
   if (bucket_head_[b] == kNil) {
     bucket_due_[b] = -1;
+    nonempty_ &= ~(std::uint64_t{1} << b);
     reschedule();  // the emptied bucket may have been the pending target
   }
   return true;
@@ -107,16 +114,36 @@ std::uint64_t PollWheel::tag(CohortSlot s) const noexcept {
   return live(s) ? ledger_.tag[s.index] : 0;
 }
 
+// Bucket b's due times all lie on its own grid points (slot index = b mod
+// buckets), so no two buckets are ever due at once. Walking the non-empty
+// buckets in rotation order from the first grid point at or after now, a
+// bucket due at its next grid point (less than one period past it) is due
+// before every bucket after it, and every bucket before it is due a full
+// period or more later: it is the earliest, and the walk stops there. Only
+// members attached several rotations ahead make the walk go on; then it
+// keeps the minimum, as a scan of all buckets would.
 TimeUs PollWheel::earliest_due(std::uint32_t* bucket_out) const noexcept {
   TimeUs best = -1;
   std::uint32_t best_b = kNil;
-  for (std::uint32_t b = 0; b < buckets(); ++b) {
+  const std::uint32_t n = buckets();
+  // Rotate the non-empty mask so bit i is the bucket whose next grid point
+  // at or after now is the i-th one: (first_slot + i) * slot_width_.
+  const TimeUs first_slot = (sim_.now() + slot_width_ - 1) / slot_width_;
+  const auto start = static_cast<std::uint32_t>(first_slot % n);
+  const std::uint64_t all = n == 64 ? ~std::uint64_t{0}
+                                    : (std::uint64_t{1} << n) - 1;
+  std::uint64_t ahead =
+      start == 0 ? nonempty_
+                 : ((nonempty_ >> start) | (nonempty_ << (n - start))) & all;
+  for (; ahead != 0; ahead &= ahead - 1) {
+    const auto i = static_cast<std::uint32_t>(std::countr_zero(ahead));
+    const std::uint32_t b = start + i < n ? start + i : start + i - n;
     const TimeUs due = bucket_due_[b];
-    if (due < 0) continue;
     if (best < 0 || due < best) {
       best = due;
       best_b = b;
     }
+    if (due < (first_slot + i) * slot_width_ + period_) break;
   }
   if (bucket_out != nullptr) *bucket_out = best_b;
   return best;
@@ -162,7 +189,10 @@ void PollWheel::fire() {
   }
   fan_cursor_ = kNil;
 
-  if (bucket_head_[b] == kNil) bucket_due_[b] = -1;
+  if (bucket_head_[b] == kNil) {
+    bucket_due_[b] = -1;
+    nonempty_ &= ~(std::uint64_t{1} << b);
+  }
   reschedule();
 }
 

@@ -63,10 +63,14 @@ class PollWheel {
   /// may attach or detach any member, including the one it was called for.
   using FanoutFn = std::function<void(TimeUs, std::uint64_t, CohortSlot)>;
 
+  /// Most buckets a wheel may have: one bit each in the non-empty mask.
+  static constexpr std::uint32_t kMaxBuckets = 64;
+
   /// `period` is split into `buckets` slots of width period/buckets
   /// (floored, min 1 us); the effective rotation is slot_width * buckets,
   /// which callers must use as their poll interval so quantized timers
-  /// and wheel ticks stay on the same grid.
+  /// and wheel ticks stay on the same grid. Throws std::invalid_argument
+  /// for more than kMaxBuckets buckets.
   PollWheel(Simulator& sim, DurationUs period, std::uint32_t buckets);
   ~PollWheel();
 
@@ -107,9 +111,17 @@ class PollWheel {
   DurationUs effective_period() const noexcept { return period_; }
   /// Bucket fan-outs fired so far (one engine event each).
   std::uint64_t ticks() const noexcept { return ticks_; }
+  /// Earliest due time across non-empty buckets (-1: none); the owning
+  /// bucket lands in *bucket_out (kNoBucket: none). The pending engine
+  /// event is aimed here.
+  TimeUs earliest_due(std::uint32_t* bucket_out) const noexcept;
+  /// Bucket `b`'s next fire time (-1 while it is empty).
+  TimeUs bucket_due(std::uint32_t b) const noexcept { return bucket_due_[b]; }
+
+  static constexpr std::uint32_t kNoBucket = 0xFFFFFFFFu;
 
  private:
-  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kNil = kNoBucket;
 
   struct Ledger {
     // Struct-of-arrays over member slots: each vector is indexed by the
@@ -133,9 +145,6 @@ class PollWheel {
   void release_slot(std::uint32_t idx);
   void fire();                       // the single pending engine event
   void reschedule();                 // re-aim pending_ at the earliest due
-  /// Earliest due time across non-empty buckets (-1: none); the owning
-  /// bucket lands in *bucket_out.
-  TimeUs earliest_due(std::uint32_t* bucket_out) const noexcept;
 
   Simulator& sim_;
   DurationUs slot_width_;
@@ -146,6 +155,7 @@ class PollWheel {
   std::vector<std::uint32_t> bucket_head_;
   std::vector<std::uint32_t> bucket_tail_;
   std::vector<TimeUs> bucket_due_;   // next fire time; valid when non-empty
+  std::uint64_t nonempty_ = 0;       // bit b: bucket b has members
 
   std::uint32_t free_head_ = kNil;
   std::size_t members_ = 0;

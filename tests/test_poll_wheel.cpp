@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -229,6 +230,76 @@ TEST(PollWheel, StaleHandlesAreInertAgainstRecycledSlots) {
   EXPECT_FALSE(wheel.detach(s));
   EXPECT_TRUE(wheel.attached(s2));
   EXPECT_EQ(wheel.tag(s2), 6u);
+}
+
+TEST(PollWheel, RejectsMoreBucketsThanItsMaskHolds) {
+  sim::Simulator sim;
+  EXPECT_THROW(sim::PollWheel(sim, 64'000, 65), std::invalid_argument);
+  sim::PollWheel widest(sim, 64'000, 64);
+  EXPECT_EQ(widest.buckets(), 64u);
+}
+
+// The wheel finds its earliest due bucket by walking a non-empty mask in
+// rotation order from now's slot. A linear scan of every bucket is the
+// reference: random attaches with first ticks up to five rotations ahead,
+// detaches (also from inside a fan-out), fan-outs and off-grid clock moves
+// on 3-, 4- and 64-bucket wheels must choose the same bucket and due time.
+TEST(PollWheel, EarliestDueMatchesALinearScan) {
+  for (std::uint32_t buckets : {3u, 4u, 64u}) {
+    sim::Simulator sim;
+    sim::PollWheel wheel(sim, 64'000, buckets);
+    const DurationUs period = wheel.effective_period();
+    Rng rng(41 + buckets);
+    std::vector<sim::CohortSlot> live;
+    std::uint64_t checks = 0;
+    const auto check = [&] {
+      TimeUs best = -1;
+      std::uint32_t best_b = sim::PollWheel::kNoBucket;
+      for (std::uint32_t b = 0; b < wheel.buckets(); ++b) {
+        const TimeUs due = wheel.bucket_due(b);
+        if (due >= 0 && (best < 0 || due < best)) {
+          best = due;
+          best_b = b;
+        }
+      }
+      std::uint32_t chosen = 0;
+      EXPECT_EQ(wheel.earliest_due(&chosen), best) << "t=" << sim.now();
+      EXPECT_EQ(chosen, best_b) << "t=" << sim.now();
+      ++checks;
+    };
+    const auto drop = [&](std::size_t i) {
+      EXPECT_TRUE(wheel.detach(live[i]));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    };
+    wheel.set_fanout([&](TimeUs, std::uint64_t, sim::CohortSlot s) {
+      check();  // mid fan-out: the firing bucket is due a period later
+      if (rng.bernoulli(0.1))
+        drop(static_cast<std::size_t>(
+            std::find(live.begin(), live.end(), s) - live.begin()));
+    });
+    for (int round = 0; round < 3000; ++round) {
+      const auto op = rng.uniform_int(0, 9);
+      if (op < 4 || live.empty()) {
+        const TimeUs raw = sim.now() + rng.uniform_int(0, 5 * period);
+        live.push_back(wheel.attach(wheel.quantize(raw),
+                                    static_cast<std::uint64_t>(round)));
+      } else if (op < 6) {
+        drop(static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(live.size()) - 1)));
+      } else if (op < 8) {
+        // The one pending engine event fires at the chosen due time.
+        const TimeUs due = wheel.earliest_due(nullptr);
+        ASSERT_EQ(sim.step(1), 1u);
+        EXPECT_EQ(sim.now(), due);
+      } else {
+        sim.run_until(sim.now() + rng.uniform_int(1, period));  // off-grid
+      }
+      check();
+      EXPECT_EQ(sim.pending(), live.empty() ? 0u : 1u);
+      ASSERT_FALSE(HasFailure()) << buckets << " buckets, round " << round;
+    }
+    EXPECT_GT(checks, 5000u);
+  }
 }
 
 TEST(PollWheel, MidFanoutMigrationMovesAMemberBetweenWheels) {
