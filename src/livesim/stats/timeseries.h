@@ -17,7 +17,7 @@ namespace livesim::stats {
 /// queries (mean, min/max, least-squares trend) over what it holds.
 /// Pushing past capacity overwrites the oldest point; `pushes()` keeps
 /// the lifetime count so overwritten history is still accounted for.
-/// All queries are pure arithmetic over the ring in oldest-to-newest
+/// All queries are pure arithmetic over the ring in newest-to-oldest
 /// order, so identical push sequences yield bit-identical answers.
 class Timeseries {
  public:
@@ -31,7 +31,7 @@ class Timeseries {
 
   void push(TimeUs at, double value) {
     ring_[head_] = Point{at, value};
-    head_ = (head_ + 1) % ring_.size();
+    if (++head_ == ring_.size()) head_ = 0;
     if (size_ < ring_.size()) ++size_;
     ++pushes_;
   }
@@ -44,21 +44,25 @@ class Timeseries {
 
   /// i-th newest point: newest(0) is the latest sample. Requires i < size().
   const Point& newest(std::size_t i = 0) const {
-    return ring_[(head_ + ring_.size() - 1 - i % ring_.size()) % ring_.size()];
+    return i < head_ ? ring_[head_ - 1 - i]
+                     : ring_[head_ + ring_.size() - 1 - i];
   }
   double last() const { return empty() ? 0.0 : newest().value; }
 
   double mean() const noexcept {
     if (size_ == 0) return 0.0;
     double sum = 0.0;
-    for (std::size_t i = 0; i < size_; ++i) sum += newest(i).value;
+    for_each_newest_first([&](const Point& p) { sum += p.value; });
     return sum / static_cast<double>(size_);
   }
 
   double max() const noexcept {
     double m = 0.0;
-    for (std::size_t i = 0; i < size_; ++i)
-      if (i == 0 || newest(i).value > m) m = newest(i).value;
+    bool first = true;
+    for_each_newest_first([&](const Point& p) {
+      if (first || p.value > m) m = p.value;
+      first = false;
+    });
     return m;
   }
 
@@ -69,18 +73,18 @@ class Timeseries {
   double slope_per_s() const noexcept {
     if (size_ < 2) return 0.0;
     double mt = 0.0, mv = 0.0;
-    for (std::size_t i = 0; i < size_; ++i) {
-      mt += time::to_seconds(newest(i).at);
-      mv += newest(i).value;
-    }
+    for_each_newest_first([&](const Point& p) {
+      mt += time::to_seconds(p.at);
+      mv += p.value;
+    });
     mt /= static_cast<double>(size_);
     mv /= static_cast<double>(size_);
     double num = 0.0, den = 0.0;
-    for (std::size_t i = 0; i < size_; ++i) {
-      const double dt = time::to_seconds(newest(i).at) - mt;
-      num += dt * (newest(i).value - mv);
+    for_each_newest_first([&](const Point& p) {
+      const double dt = time::to_seconds(p.at) - mt;
+      num += dt * (p.value - mv);
       den += dt * dt;
-    }
+    });
     return den > 0.0 ? num / den : 0.0;
   }
 
@@ -92,6 +96,15 @@ class Timeseries {
   }
 
  private:
+  // Visits the points newest to oldest, the order every query sums in:
+  // the run below head_ backwards, then the wrapped run from the end.
+  template <typename F>
+  void for_each_newest_first(F&& f) const {
+    std::size_t left = size_;
+    for (std::size_t i = head_; i > 0 && left > 0; --left) f(ring_[--i]);
+    for (std::size_t i = ring_.size(); left > 0; --left) f(ring_[--i]);
+  }
+
   std::vector<Point> ring_;
   std::size_t head_ = 0;   // next write position
   std::size_t size_ = 0;
