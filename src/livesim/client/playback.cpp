@@ -32,7 +32,9 @@ void PlaybackSchedule::on_arrival(TimeUs arrival, DurationUs media_offset,
       e2e_.add(time::to_seconds(sched - u.media_offset));
       ++played_;
     }
-    pending_pre_start_.clear();
+    // Free the buffer, not just empty it: it is never filled again, and a
+    // crowd holds one per viewer for the viewer's whole life.
+    std::vector<PendingUnit>().swap(pending_pre_start_);
     // The anchoring unit itself.
     const TimeUs sched = start_wall_ + (media_offset - first_media_);
     delay_.add(time::to_seconds(sched - arrival));
