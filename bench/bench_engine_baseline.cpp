@@ -188,10 +188,13 @@ std::uint64_t run_flash_crowd_mix(std::size_t n, util::Fingerprint& fp,
     sim::Simulator sim;
     sim::PollWheel wheel(sim, kCrowdPeriod, kCrowdBuckets);
     std::vector<std::uint8_t> outstanding(kCrowdViewers, 0);
+    // Each member is its viewer's ledger byte; its index is the tag.
     wheel.set_fanout(
-        [&](TimeUs tick, std::uint64_t tag, sim::CohortSlot) {
+        [&](TimeUs tick, void* member, sim::CohortSlot) {
+          auto* flag = static_cast<std::uint8_t*>(member);
+          const auto tag = static_cast<std::uint64_t>(flag - outstanding.data());
           wheel_order.mix(tag ^ static_cast<std::uint64_t>(tick));
-          outstanding[tag] ^= 1;  // the per-viewer SoA ledger touch
+          *flag ^= 1;  // the per-viewer SoA ledger touch
           ++wheel_polls;
         });
     Rng rng(42);
@@ -199,7 +202,7 @@ std::uint64_t run_flash_crowd_mix(std::size_t n, util::Fingerprint& fp,
     for (std::size_t i = 0; i < kCrowdViewers; ++i) {
       const auto raw = static_cast<TimeUs>(
           rng.uniform() * static_cast<double>(kCrowdPeriod));
-      wheel.attach(wheel.quantize(raw), i);
+      wheel.attach(wheel.quantize(raw), &outstanding[i]);
     }
     sim.run_until(horizon);
     wheel_ns = now_ns() - t0;

@@ -271,11 +271,10 @@ bool BroadcastSession::rescue_on_mesh(Viewer& v) {
   // The mesh carries chunks. An LL-HLS cursor counts parts, so it
   // restarts: the viewer holds no chunk yet.
   if (v.tier == cdn::DeliveryTier::kLlHls) v.last_seq = -1;
-  v.retired.push_back({std::move(v.playback), v.tier});
-  v.playback = client::PlaybackSchedule(config_.hls_prebuffer);
+  v.flush_playback(v.tier, config_.hls_prebuffer);
   auto* viewer = &v;
   const std::uint64_t gen = v.generation;
-  v.mesh_peer = assist_mesh_->join(
+  v.cold->mesh_peer = assist_mesh_->join(
       [this, viewer, gen](const media::Chunk& c, TimeUs at, std::uint32_t) {
         if (viewer->generation != gen || !viewer->active) return;
         if (static_cast<std::int64_t>(c.seq) <= viewer->last_seq) return;
@@ -446,8 +445,7 @@ void BroadcastSession::migrate_rtmp_viewer(Viewer& v, TimeUs crashed_at) {
   // The client tears down its RTMP pipeline and re-buffers on HLS: the
   // playback schedule re-anchors at the HLS pre-buffer, otherwise every
   // post-crash chunk would miss its (pre-crash) slot and be discarded.
-  v.retired.push_back({std::move(v.playback), cdn::DeliveryTier::kRtmp});
-  v.playback = client::PlaybackSchedule(config_.hls_prebuffer);
+  v.flush_playback(cdn::DeliveryTier::kRtmp, config_.hls_prebuffer);
 
   // Resume from the live edge of the stream: replaying chunks the viewer
   // already watched over RTMP would only register as stalls.
@@ -498,8 +496,7 @@ void BroadcastSession::migrate_hls_viewer(
   admit_to_edge(v, sel);
   connect_last_mile(v);
 
-  v.retired.push_back({std::move(v.playback), v.tier});
-  v.playback = client::PlaybackSchedule(pull_prebuffer(v.tier));
+  v.flush_playback(v.tier, pull_prebuffer(v.tier));
   // last_seq survives: the client still knows what it played; it asks the
   // new edge only for fresher chunks (LL-HLS: fresher parts).
   start_pull_delivery(v);
@@ -528,8 +525,7 @@ void BroadcastSession::rejoin_rtmp_viewer(Viewer& v) {
   v.attachment = ingest_site_;
   connect_last_mile(v);
 
-  v.retired.push_back({std::move(v.playback), retired_tier});
-  v.playback = client::PlaybackSchedule(kRtmpPrebuffer);
+  v.flush_playback(retired_tier, kRtmpPrebuffer);
   ++rtmp_rejoins_;
 }
 
@@ -633,7 +629,6 @@ std::size_t BroadcastSession::add_viewer(
   v->tier = tier;
   v->was_rtmp = tier == cdn::DeliveryTier::kRtmp;
   v->location = location;
-  v->index = index;  // the wheel's opaque member tag
 
   if (tier != cdn::DeliveryTier::kRtmp) {
     // Anycast skips dark PoPs (a viewer joining mid-outage) and sites
@@ -729,7 +724,7 @@ void BroadcastSession::remove_viewer(std::size_t index) {
   teardown_polling(v);
   if (v.on_mesh) {
     // Mesh-parked viewers hold a peer slot, not an edge slot.
-    if (assist_mesh_) assist_mesh_->leave(v.mesh_peer);
+    if (assist_mesh_) assist_mesh_->leave(v.cold->mesh_peer);
     v.on_mesh = false;
     return;
   }
@@ -799,11 +794,11 @@ sim::PollWheel& BroadcastSession::wheel_for(const Viewer& v) {
     if (sim::PollWheel* existing = edge.poll_wheel()) return *existing;
     wheel = &edge.poll_wheel(cdn::kHlsPollInterval, kPollWheelSlots);
   }
-  wheel->set_fanout([this](TimeUs tick, std::uint64_t tag, sim::CohortSlot) {
-    Viewer& member = *viewers_[static_cast<std::size_t>(tag)];
+  wheel->set_fanout([this](TimeUs tick, void* member, sim::CohortSlot) {
+    Viewer& v = *static_cast<Viewer*>(member);
     // Broadcast horizon passed: leave the cohort so the wheel stops
     // scheduling once its last member is gone and the run drains.
-    if (!pull_tick(member, tick)) teardown_polling(member);
+    if (!pull_tick(v, tick)) teardown_polling(v);
   });
   return *wheel;
 }
@@ -839,13 +834,13 @@ void BroadcastSession::start_hls_polling(Viewer& v) {
     v.pending_reattach = false;
     const double delay_s = time::to_seconds(phase - sim_.now());
     reattach_latency_s_.add(delay_s);
-    v.reattach_samples.push_back(delay_s);
+    v.cold_state().reattach_samples.push_back(delay_s);
   }
 
   // The viewer joins the wheel's cohort; one engine event per tick fans
-  // out to everyone due in that bucket.
+  // out to everyone due in that bucket, handed back as this address.
   v.cohort_wheel = &wheel;
-  v.cohort = wheel.attach(phase, static_cast<std::uint64_t>(v.index));
+  v.cohort = wheel.attach(phase, &v);
 }
 
 bool BroadcastSession::pull_tick(Viewer& v, TimeUs tick_time) {
@@ -991,7 +986,8 @@ void BroadcastSession::finalize() {
     breakdown_for(v->tier).buffering_s.merge(v->playback.buffering_delay_s());
     // Each retired phase (a pipeline flush: RTMP->HLS, edge-to-edge,
     // HLS->RTMP rejoin) folds into the breakdown of the path it covered.
-    for (const auto& phase : v->retired)
+    if (!v->cold) continue;
+    for (const auto& phase : v->cold->retired)
       breakdown_for(phase.tier)
           .buffering_s.merge(phase.playback.buffering_delay_s());
   }
@@ -1011,7 +1007,7 @@ BroadcastSession::viewer_results() const {
     r.mean_buffering_s = v->playback.buffering_delay_s().mean();
     r.units_played = v->playback.units_played();
     r.units_discarded = v->playback.units_discarded();
-    if (!v->retired.empty()) {
+    if (v->cold && !v->cold->retired.empty()) {
       // Fold every retired phase back in: stall weighted by each phase's
       // offered media, buffering via accumulator merge. (Unmigrated
       // viewers have one phase, read directly above.)
@@ -1019,7 +1015,7 @@ BroadcastSession::viewer_results() const {
                         static_cast<double>(v->playback.media_offered());
       double offered = static_cast<double>(v->playback.media_offered());
       stats::Accumulator merged = v->playback.buffering_delay_s();
-      for (const auto& phase : v->retired) {
+      for (const auto& phase : v->cold->retired) {
         const auto& p = phase.playback;
         weighted += p.stall_ratio() * static_cast<double>(p.media_offered());
         offered += static_cast<double>(p.media_offered());

@@ -35,6 +35,7 @@
 #include "livesim/media/encoder.h"
 #include "livesim/net/link.h"
 #include "livesim/overlay/mesh.h"
+#include "livesim/sim/poll_wheel.h"
 #include "livesim/sim/simulator.h"
 #include "livesim/stats/accumulator.h"
 
@@ -242,7 +243,9 @@ class BroadcastSession {
   /// migrated). The record-order rebuild source the sub-sharded crowd
   /// merge uses so merged samplers are bit-identical at any partition.
   std::span<const double> viewer_reattach_samples(std::size_t index) const {
-    return viewers_.at(index)->reattach_samples;
+    const auto& cold = viewers_.at(index)->cold;
+    return cold ? std::span<const double>(cold->reattach_samples)
+                : std::span<const double>();
   }
   /// Viewers whose failover found no live edge at all (global blackout).
   std::uint64_t orphaned_viewers() const noexcept { return orphaned_viewers_; }
@@ -323,9 +326,12 @@ class BroadcastSession {
   }
 
  private:
-  struct Viewer {
-    Viewer(Rng stream, DurationUs prebuffer)
-        : rng(stream), playback(prebuffer) {}
+  /// What one poll transaction reads and writes: the wheel fan-out, the
+  /// request and response legs and the playback schedule they feed. It
+  /// leads Viewer (its base, at offset 0), so the wheel's prefetch of a
+  /// member's first sim::PollWheel::kPrefetchBytes covers all of it.
+  struct HotState {
+    explicit HotState(DurationUs prebuffer) : playback(prebuffer) {}
 
     /// Which delivery backend serves this viewer right now: kRtmp is the
     /// push path, both pull tiers poll an edge. The one tier state every
@@ -348,50 +354,70 @@ class BroadcastSession {
     /// Overlay-assist parking: the viewer lives on the P2P mesh instead
     /// of an edge (capacity orphan rescued by the control plane).
     bool on_mesh = false;
-    geo::GeoPoint location;
     DatacenterId attachment{};
-    /// The viewer's own stream (see add_viewer): phase, link and
-    /// corruption draws.
-    Rng rng;
-    /// Held inline, so a poll touches one object per viewer. The link is
-    /// emplaced by connect_last_mile (a Link cannot be reassigned).
-    std::optional<net::Link> link;
-    client::PlaybackSchedule playback;
-    /// Schedules retired at each pipeline flush (RTMP->HLS failover,
-    /// edge-to-edge re-anycast, RTMP rejoin): `playback` is replaced and
-    /// the old phase is kept for result accounting, tagged with the path
-    /// it covered.
-    struct RetiredPhase {
-      client::PlaybackSchedule playback;
-      cdn::DeliveryTier tier = cdn::DeliveryTier::kRtmp;
-    };
-    std::vector<RetiredPhase> retired;
-    /// Index into viewers_ (the wheel's opaque member tag).
-    std::size_t index = 0;
-    /// HLS tick source: cohort names this viewer's slot on cohort_wheel,
-    /// the poll wheel of its attached edge (null while not polling).
-    sim::PollWheel* cohort_wheel = nullptr;
-    sim::CohortSlot cohort{};
-    /// Re-attachment samples in event order (reattach_latency_s source).
-    std::vector<double> reattach_samples;
-    /// Pull cursor: the highest unit the client holds, in its tier's
-    /// unit (chunks on HLS and on the mesh, parts on LL-HLS); -1 for
-    /// none. The next request asks the edge for anything newer.
-    std::int64_t last_seq = -1;
     /// Attachment epoch: bumped at every migration so responses in flight
     /// from a previous attachment are dropped (the client closed that
     /// connection), never delivered into the new pipeline.
     std::uint64_t generation = 0;
+    /// Pull cursor: the highest unit the client holds, in its tier's
+    /// unit (chunks on HLS and on the mesh, parts on LL-HLS); -1 for
+    /// none. The next request asks the edge for anything newer.
+    std::int64_t last_seq = -1;
     /// Set while a failover is in flight: the death time, cleared (and
     /// the latency recorded) when the first post-migration chunk lands.
     TimeUs failover_crash_at = -1;
-    std::uint64_t mesh_peer = 0;
+    /// Held inline, so a poll touches one object per viewer. The link is
+    /// emplaced by connect_last_mile (a Link cannot be reassigned).
+    std::optional<net::Link> link;
+    client::PlaybackSchedule playback;
+  };
+  static_assert(sizeof(HotState) <= sim::PollWheel::kPrefetchBytes);
+
+  struct Viewer : HotState {
+    Viewer(Rng stream, DurationUs prebuffer)
+        : HotState(prebuffer), rng(stream) {}
+
+    /// What only a pipeline flush or a mesh rescue creates: most viewers
+    /// never fail over and never allocate it.
+    struct ColdState {
+      /// Schedules retired at each pipeline flush (RTMP->HLS failover,
+      /// edge-to-edge re-anycast, RTMP rejoin, mesh rescue): `playback`
+      /// is replaced and the old phase is kept for result accounting,
+      /// tagged with the path it covered.
+      struct RetiredPhase {
+        client::PlaybackSchedule playback;
+        cdn::DeliveryTier tier = cdn::DeliveryTier::kRtmp;
+      };
+      std::vector<RetiredPhase> retired;
+      /// Re-attachment samples in event order (reattach_latency_s source).
+      std::vector<double> reattach_samples;
+      std::uint64_t mesh_peer = 0;
+    };
+
+    ColdState& cold_state() {
+      if (!cold) cold = std::make_unique<ColdState>();
+      return *cold;
+    }
+    /// A pipeline flush: the current playback phase retires, tagged with
+    /// the tier it covered, and a fresh one anchors at `prebuffer`.
+    void flush_playback(cdn::DeliveryTier covered, DurationUs prebuffer) {
+      cold_state().retired.push_back({std::move(playback), covered});
+      playback = client::PlaybackSchedule(prebuffer);
+    }
+
+    geo::GeoPoint location;
+    /// The viewer's own stream (see add_viewer): phase, link and
+    /// corruption draws.
+    Rng rng;
+    /// HLS tick source: cohort names this viewer's slot on cohort_wheel,
+    /// the poll wheel of its attached edge (null while not polling).
+    sim::PollWheel* cohort_wheel = nullptr;
+    sim::CohortSlot cohort{};
+    std::unique_ptr<ColdState> cold;  // null until first needed
   };
   // Per-viewer memory budget: a 100k-viewer crowd holds 100k of these.
-  // The bound is a 200-byte viewer whose link and playback schedule are
-  // counted inline instead of as two pointers.
-  static_assert(sizeof(Viewer) <= 200 - 2 * sizeof(void*) +
-                                      sizeof(std::optional<net::Link>) +
+  // Besides its link and playback schedule, a viewer gets 128 bytes.
+  static_assert(sizeof(Viewer) <= 128 + sizeof(std::optional<net::Link>) +
                                       sizeof(client::PlaybackSchedule));
 
   /// One failover/anycast admission decision by the spill policy.

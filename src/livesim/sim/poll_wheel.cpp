@@ -36,8 +36,8 @@ std::uint32_t PollWheel::acquire_slot() {
     free_head_ = ledger_.next[idx];
     return idx;
   }
-  const auto idx = static_cast<std::uint32_t>(ledger_.tag.size());
-  ledger_.tag.push_back(0);
+  const auto idx = static_cast<std::uint32_t>(ledger_.member.size());
+  ledger_.member.push_back(nullptr);
   ledger_.generation.push_back(1);
   ledger_.bucket.push_back(kNil);
   ledger_.first_due.push_back(0);
@@ -56,12 +56,12 @@ void PollWheel::release_slot(std::uint32_t idx) {
   free_head_ = idx;
 }
 
-CohortSlot PollWheel::attach(TimeUs first_tick, std::uint64_t tag) {
+CohortSlot PollWheel::attach(TimeUs first_tick, void* member) {
   const std::uint32_t idx = acquire_slot();
   const auto b = static_cast<std::uint32_t>(
       (first_tick / slot_width_) % static_cast<DurationUs>(buckets()));
 
-  ledger_.tag[idx] = tag;
+  ledger_.member[idx] = member;
   ledger_.bucket[idx] = b;
   ledger_.first_due[idx] = first_tick;
 
@@ -89,8 +89,9 @@ bool PollWheel::detach(CohortSlot s) {
   const std::uint32_t idx = s.index;
   const std::uint32_t b = ledger_.bucket[idx];
 
-  // A running fan-out about to visit this slot steps over it instead.
+  // A running fan-out about to visit or prefetch this slot steps over it.
   if (fan_cursor_ == idx) fan_cursor_ = ledger_.next[idx];
+  if (fan_ahead_ == idx) fan_ahead_ = ledger_.next[idx];
 
   const std::uint32_t p = ledger_.prev[idx];
   const std::uint32_t n = ledger_.next[idx];
@@ -110,8 +111,8 @@ bool PollWheel::detach(CohortSlot s) {
 
 bool PollWheel::attached(CohortSlot s) const noexcept { return live(s); }
 
-std::uint64_t PollWheel::tag(CohortSlot s) const noexcept {
-  return live(s) ? ledger_.tag[s.index] : 0;
+void* PollWheel::member(CohortSlot s) const noexcept {
+  return live(s) ? ledger_.member[s.index] : nullptr;
 }
 
 // Bucket b's due times all lie on its own grid points (slot index = b mod
@@ -165,6 +166,19 @@ void PollWheel::reschedule() {
   pending_bucket_ = b;
 }
 
+void PollWheel::prefetch_ahead() noexcept {
+  // Whole cache lines, from the one holding the member's first byte. The
+  // span may run past the end of a small member, so it is walked as
+  // integers: a prefetch never faults and nothing here is dereferenced.
+  constexpr std::uintptr_t kLine = 64;
+  const auto first =
+      reinterpret_cast<std::uintptr_t>(ledger_.member[fan_ahead_]);
+  for (std::uintptr_t line = first & ~(kLine - 1);
+       line < first + kPrefetchBytes; line += kLine)
+    __builtin_prefetch(reinterpret_cast<const void*>(line));
+  fan_ahead_ = ledger_.next[fan_ahead_];
+}
+
 void PollWheel::fire() {
   const TimeUs tick = pending_time_;
   const std::uint32_t b = pending_bucket_;
@@ -178,16 +192,24 @@ void PollWheel::fire() {
   // rotation, never this pass.
   bucket_due_[b] = tick + period_;
 
+  // Prime the lookahead with the bucket's first kPrefetchAhead members;
+  // each visit then prefetches the member kPrefetchAhead links past it.
   fan_cursor_ = bucket_head_[b];
+  fan_ahead_ = fan_cursor_;
+  for (std::uint32_t k = 0; k < kPrefetchAhead && fan_ahead_ != kNil; ++k)
+    prefetch_ahead();
   while (fan_cursor_ != kNil) {
     const std::uint32_t cur = fan_cursor_;
     fan_cursor_ = ledger_.next[cur];  // advance first: detaching cur is safe
+    if (fan_ahead_ != kNil) prefetch_ahead();
     if (ledger_.first_due[cur] > tick) continue;  // joined mid-rotation
     ledger_.first_due[cur] = 0;
     if (fanout_)
-      fanout_(tick, ledger_.tag[cur], CohortSlot{cur, ledger_.generation[cur]});
+      fanout_(tick, ledger_.member[cur],
+              CohortSlot{cur, ledger_.generation[cur]});
   }
   fan_cursor_ = kNil;
+  fan_ahead_ = kNil;
 
   if (bucket_head_[b] == kNil) {
     bucket_due_[b] = -1;

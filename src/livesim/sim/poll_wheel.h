@@ -19,6 +19,16 @@
 // (viewer migrated away, slot recycled) can never touch the slot's next
 // tenant.
 //
+// Each member is the address of its owner's state (a session passes its
+// Viewer*). The fan-out walks a bucket in list order, but the owners sit
+// wherever the allocator put them, so each visit would start with cache
+// misses on its owner. The fan-out therefore prefetches the first
+// kPrefetchBytes of the member kPrefetchAhead links down the list before
+// it calls back for the current one; an owner keeps what its callback
+// touches in that prefix. Like the fan-out cursor, the lookahead cursor
+// steps off a member that is detached under it, so it only ever reads
+// the links of live members.
+//
 // Determinism contract (the shared-vs-per-viewer-wheel differential
 // relies on it):
 //  * fan-out visits a bucket's members in attach order (append-at-tail),
@@ -28,14 +38,16 @@
 //    always quantized strictly after `now`, so it lands one full rotation
 //    out) is never visited by the running pass -- the per-slot first-due
 //    time gates it;
-//  * detaching any member mid-fan-out (even the one about to be visited)
-//    is safe: the cursor is advanced past a slot before its callback runs
-//    and fixed up when the upcoming slot is unlinked.
+//  * detaching any member mid-fan-out (even the one about to be visited,
+//    or one the lookahead already prefetched) is safe: the cursor is
+//    advanced past a slot before its callback runs, and both cursors are
+//    fixed up when the slot they name is unlinked.
 //
 // An empty wheel schedules nothing: zero members, zero pending events.
 #ifndef LIVESIM_SIM_POLL_WHEEL_H
 #define LIVESIM_SIM_POLL_WHEEL_H
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -59,12 +71,17 @@ struct CohortSlot {
 
 class PollWheel {
  public:
-  /// Fan-out callback: (tick time, member tag, member slot). The callback
-  /// may attach or detach any member, including the one it was called for.
-  using FanoutFn = std::function<void(TimeUs, std::uint64_t, CohortSlot)>;
+  /// Fan-out callback: (tick time, member, member slot). The callback may
+  /// attach or detach any member, including the one it was called for.
+  using FanoutFn = std::function<void(TimeUs, void*, CohortSlot)>;
 
   /// Most buckets a wheel may have: one bit each in the non-empty mask.
   static constexpr std::uint32_t kMaxBuckets = 64;
+  /// How many links ahead of the member it visits the fan-out prefetches.
+  static constexpr std::uint32_t kPrefetchAhead = 4;
+  /// How many bytes from a member's address the fan-out prefetches: every
+  /// cache line that overlaps them, wherever the member is aligned.
+  static constexpr std::size_t kPrefetchBytes = 320;
 
   /// `period` is split into `buckets` slots of width period/buckets
   /// (floored, min 1 us); the effective rotation is slot_width * buckets,
@@ -88,8 +105,9 @@ class PollWheel {
 
   /// Attaches a member whose first tick is at `first_tick` (must be
   /// quantized; callers use quantize()). Subsequent ticks come every
-  /// effective_period(). `tag` is opaque and handed back at fan-out.
-  CohortSlot attach(TimeUs first_tick, std::uint64_t tag);
+  /// effective_period(). `member` is handed back at fan-out; its first
+  /// kPrefetchBytes are prefetched ahead of that (never dereferenced).
+  CohortSlot attach(TimeUs first_tick, void* member);
 
   /// Detaches a member. Safe on stale/invalid handles (returns false) and
   /// during fan-out. When the wheel empties its pending event is
@@ -98,8 +116,8 @@ class PollWheel {
 
   /// True while `s` names a live member.
   bool attached(CohortSlot s) const noexcept;
-  /// The member's tag (0 on a stale slot).
-  std::uint64_t tag(CohortSlot s) const noexcept;
+  /// The member attach() was given (nullptr on a stale slot).
+  void* member(CohortSlot s) const noexcept;
 
   // --- introspection ---
   std::size_t size() const noexcept { return members_; }
@@ -125,9 +143,9 @@ class PollWheel {
 
   struct Ledger {
     // Struct-of-arrays over member slots: each vector is indexed by the
-    // slot index, grown together. Hot fan-out walks touch next_/tag_/
-    // first_due_ only.
-    std::vector<std::uint64_t> tag;
+    // slot index, grown together. Hot fan-out walks touch next/member/
+    // first_due only.
+    std::vector<void*> member;
     std::vector<std::uint32_t> generation;
     std::vector<std::uint32_t> bucket;     // next-deadline bucket
     std::vector<TimeUs> first_due;         // gate for the first rotation
@@ -136,7 +154,7 @@ class PollWheel {
   };
 
   bool live(CohortSlot s) const noexcept {
-    return s.valid() && s.index < ledger_.tag.size() &&
+    return s.valid() && s.index < ledger_.member.size() &&
            ledger_.generation[s.index] == s.generation &&
            ledger_.bucket[s.index] != kNil;
   }
@@ -144,6 +162,9 @@ class PollWheel {
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t idx);
   void fire();                       // the single pending engine event
+  /// Prefetches the first kPrefetchBytes of the member fan_ahead_ names
+  /// (a live slot), then moves fan_ahead_ one link on.
+  void prefetch_ahead() noexcept;
   void reschedule();                 // re-aim pending_ at the earliest due
 
   Simulator& sim_;
@@ -165,6 +186,7 @@ class PollWheel {
   TimeUs pending_time_ = -1;         // -1: nothing scheduled
   std::uint32_t pending_bucket_ = kNil;
   std::uint32_t fan_cursor_ = kNil;  // next slot the running fan-out visits
+  std::uint32_t fan_ahead_ = kNil;   // next slot it prefetches
 };
 
 }  // namespace livesim::sim

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -36,6 +37,15 @@ using namespace livesim;
 // --- 1. PollWheel unit semantics --------------------------------------
 
 using Fired = std::vector<std::pair<TimeUs, std::uint64_t>>;
+
+// Wheel members are addresses. These tests name a member by a small
+// integer: the index of its stand-in owner in one array.
+std::array<char, 4096> owners{};
+void* member(std::uint64_t tag) { return &owners.at(tag); }
+std::uint64_t tag_of(const void* m) {
+  return static_cast<std::uint64_t>(static_cast<const char*>(m) -
+                                    owners.data());
+}
 
 TEST(PollWheel, EmptyWheelSchedulesNothing) {
   sim::Simulator sim;
@@ -85,10 +95,11 @@ TEST(PollWheel, SingleMemberTicksEveryEffectivePeriod) {
   sim::Simulator sim;
   sim::PollWheel wheel(sim, 1000, 4);
   Fired fired;
-  wheel.set_fanout([&](TimeUs t, std::uint64_t tag, sim::CohortSlot) {
+  wheel.set_fanout([&](TimeUs t, void* m, sim::CohortSlot) {
+    const std::uint64_t tag = tag_of(m);
     fired.emplace_back(t, tag);
   });
-  wheel.attach(wheel.quantize(100), 7);
+  wheel.attach(wheel.quantize(100), member(7));
   sim.run_until(3250);
   const Fired expect{{250, 7}, {1250, 7}, {2250, 7}, {3250, 7}};
   EXPECT_EQ(fired, expect);
@@ -99,11 +110,12 @@ TEST(PollWheel, FanoutVisitsBucketMembersInAttachOrder) {
   sim::Simulator sim;
   sim::PollWheel wheel(sim, 1000, 4);
   Fired fired;
-  wheel.set_fanout([&](TimeUs t, std::uint64_t tag, sim::CohortSlot) {
+  wheel.set_fanout([&](TimeUs t, void* m, sim::CohortSlot) {
+    const std::uint64_t tag = tag_of(m);
     fired.emplace_back(t, tag);
   });
   for (std::uint64_t tag : {31u, 7u, 19u})  // same bucket, in this order
-    wheel.attach(wheel.quantize(0), tag);
+    wheel.attach(wheel.quantize(0), member(tag));
   sim.run_until(1250);  // two rotations of bucket 1
   const Fired expect{{250, 31}, {250, 7}, {250, 19},
                      {1250, 31}, {1250, 7}, {1250, 19}};
@@ -115,8 +127,8 @@ TEST(PollWheel, DetachedMemberStopsAndEmptyWheelDropsItsEvent) {
   sim::PollWheel wheel(sim, 1000, 4);
   std::uint64_t ticks_seen = 0;
   wheel.set_fanout(
-      [&](TimeUs, std::uint64_t, sim::CohortSlot) { ++ticks_seen; });
-  const auto s = wheel.attach(wheel.quantize(0), 1);
+      [&](TimeUs, void*, sim::CohortSlot) { ++ticks_seen; });
+  const auto s = wheel.attach(wheel.quantize(0), member(1));
   EXPECT_EQ(sim.pending(), 1u);
   sim.run_until(250);
   EXPECT_EQ(ticks_seen, 1u);
@@ -132,13 +144,14 @@ TEST(PollWheel, ReattachAfterWheelEmptiedReschedules) {
   sim::Simulator sim;
   sim::PollWheel wheel(sim, 1000, 4);
   Fired fired;
-  wheel.set_fanout([&](TimeUs t, std::uint64_t tag, sim::CohortSlot) {
+  wheel.set_fanout([&](TimeUs t, void* m, sim::CohortSlot) {
+    const std::uint64_t tag = tag_of(m);
     fired.emplace_back(t, tag);
   });
-  const auto s = wheel.attach(wheel.quantize(0), 1);
+  const auto s = wheel.attach(wheel.quantize(0), member(1));
   wheel.detach(s);
   ASSERT_EQ(sim.pending(), 0u);
-  wheel.attach(wheel.quantize(0), 2);
+  wheel.attach(wheel.quantize(0), member(2));
   sim.run_until(300);
   const Fired expect{{250, 2}};
   EXPECT_EQ(fired, expect);
@@ -149,14 +162,15 @@ TEST(PollWheel, MemberMayDetachItselfDuringItsOwnFanout) {
   sim::PollWheel wheel(sim, 1000, 4);
   std::vector<sim::CohortSlot> slots(3);
   Fired fired;
-  wheel.set_fanout([&](TimeUs t, std::uint64_t tag, sim::CohortSlot s) {
+  wheel.set_fanout([&](TimeUs t, void* m, sim::CohortSlot s) {
+    const std::uint64_t tag = tag_of(m);
     fired.emplace_back(t, tag);
     if (tag == 1) {
       EXPECT_TRUE(wheel.detach(s));  // one-shot member
     }
   });
   for (std::uint64_t tag : {0u, 1u, 2u})
-    slots[tag] = wheel.attach(wheel.quantize(0), tag);
+    slots[tag] = wheel.attach(wheel.quantize(0), member(tag));
   sim.run_until(1250);
   const Fired expect{{250, 0}, {250, 1}, {250, 2}, {1250, 0}, {1250, 2}};
   EXPECT_EQ(fired, expect);
@@ -169,7 +183,8 @@ TEST(PollWheel, DetachingTheUpcomingMemberMidFanoutSkipsIt) {
   sim::PollWheel wheel(sim, 1000, 4);
   std::vector<sim::CohortSlot> slots(3);
   Fired fired;
-  wheel.set_fanout([&](TimeUs t, std::uint64_t tag, sim::CohortSlot) {
+  wheel.set_fanout([&](TimeUs t, void* m, sim::CohortSlot) {
+    const std::uint64_t tag = tag_of(m);
     fired.emplace_back(t, tag);
     // During member 0's first visit, unlink member 1 -- the exact slot
     // the fan-out cursor points at next.
@@ -178,10 +193,46 @@ TEST(PollWheel, DetachingTheUpcomingMemberMidFanoutSkipsIt) {
     }
   });
   for (std::uint64_t tag : {0u, 1u, 2u})
-    slots[tag] = wheel.attach(wheel.quantize(0), tag);
+    slots[tag] = wheel.attach(wheel.quantize(0), member(tag));
   sim.run_until(1250);
   const Fired expect{{250, 0}, {250, 2}, {1250, 0}, {1250, 2}};
   EXPECT_EQ(fired, expect);
+
+  // Members the lookahead already prefetched: during member 0's first
+  // visit, unlink the pair `d` and `d + 1` links ahead -- at every
+  // distance up to past the prefetch cursor -- and attach a member that
+  // recycles one of their slots. Neither detached member is visited, and
+  // the newcomer waits a rotation at the tail.
+  constexpr std::uint64_t kMembers = sim::PollWheel::kPrefetchAhead + 4;
+  for (std::uint64_t d = 1; d + 1 < kMembers; ++d) {
+    sim::Simulator sim2;
+    sim::PollWheel wheel2(sim2, 1000, 4);
+    std::vector<sim::CohortSlot> members(kMembers);
+    Fired got;
+    wheel2.set_fanout([&](TimeUs t, void* m, sim::CohortSlot) {
+      const std::uint64_t tag = tag_of(m);
+      got.emplace_back(t, tag);
+      if (tag == 0 && t == 250) {
+        EXPECT_TRUE(wheel2.detach(members[d]));
+        EXPECT_TRUE(wheel2.detach(members[d + 1]));
+        const auto fresh = wheel2.attach(
+            wheel2.quantize(sim2.now() + wheel2.effective_period()),
+            member(99));
+        EXPECT_EQ(fresh.index, members[d + 1].index);  // a recycled slot
+      }
+    });
+    for (std::uint64_t tag = 0; tag < kMembers; ++tag)
+      members[tag] = wheel2.attach(wheel2.quantize(0), member(tag));
+    sim2.run_until(1250);
+    Fired want;
+    for (TimeUs t : {250, 1250}) {
+      for (std::uint64_t tag = 0; tag < kMembers; ++tag)
+        if (tag != d && tag != d + 1) want.emplace_back(t, tag);
+    }
+    want.emplace_back(1250, 99);
+    EXPECT_EQ(got, want) << "detached " << d << " and " << d + 1
+                         << " links ahead";
+  }
 }
 
 TEST(PollWheel, AttachDuringOwnBucketFanoutWaitsOneRotation) {
@@ -189,7 +240,8 @@ TEST(PollWheel, AttachDuringOwnBucketFanoutWaitsOneRotation) {
   sim::PollWheel wheel(sim, 1000, 4);
   Fired fired;
   bool attached_late = false;
-  wheel.set_fanout([&](TimeUs t, std::uint64_t tag, sim::CohortSlot) {
+  wheel.set_fanout([&](TimeUs t, void* m, sim::CohortSlot) {
+    const std::uint64_t tag = tag_of(m);
     fired.emplace_back(t, tag);
     if (tag == 1 && !attached_late) {
       attached_late = true;
@@ -197,11 +249,12 @@ TEST(PollWheel, AttachDuringOwnBucketFanoutWaitsOneRotation) {
       // rotation out). Appended at the tail behind member 2, so the
       // running cursor WILL walk onto it in this very pass -- the
       // per-slot first-due gate must skip it until the next rotation.
-      wheel.attach(wheel.quantize(sim.now() + wheel.effective_period()), 99);
+      wheel.attach(wheel.quantize(sim.now() + wheel.effective_period()),
+                   member(99));
     }
   });
-  wheel.attach(wheel.quantize(0), 1);
-  wheel.attach(wheel.quantize(0), 2);
+  wheel.attach(wheel.quantize(0), member(1));
+  wheel.attach(wheel.quantize(0), member(2));
   sim.run_until(1250);
   const Fired expect{{250, 1}, {250, 2},
                      {1250, 1}, {1250, 2}, {1250, 99}};
@@ -211,25 +264,25 @@ TEST(PollWheel, AttachDuringOwnBucketFanoutWaitsOneRotation) {
 TEST(PollWheel, StaleHandlesAreInertAgainstRecycledSlots) {
   sim::Simulator sim;
   sim::PollWheel wheel(sim, 1000, 4);
-  wheel.set_fanout([](TimeUs, std::uint64_t, sim::CohortSlot) {});
-  const auto s = wheel.attach(wheel.quantize(0), 5);
+  wheel.set_fanout([](TimeUs, void*, sim::CohortSlot) {});
+  const auto s = wheel.attach(wheel.quantize(0), member(5));
   EXPECT_TRUE(wheel.attached(s));
-  EXPECT_EQ(wheel.tag(s), 5u);
+  EXPECT_EQ(wheel.member(s), member(5));
   EXPECT_TRUE(wheel.detach(s));
   EXPECT_FALSE(wheel.detach(s));  // double-detach: refused
   EXPECT_FALSE(wheel.attached(s));
-  EXPECT_EQ(wheel.tag(s), 0u);
+  EXPECT_EQ(wheel.member(s), nullptr);
 
   // The freed slot is recycled for the next member under a bumped
   // generation; the stale handle must not read or detach the new tenant.
-  const auto s2 = wheel.attach(wheel.quantize(0), 6);
+  const auto s2 = wheel.attach(wheel.quantize(0), member(6));
   ASSERT_EQ(s2.index, s.index);
   ASSERT_NE(s2.generation, s.generation);
   EXPECT_FALSE(wheel.attached(s));
-  EXPECT_EQ(wheel.tag(s), 0u);
+  EXPECT_EQ(wheel.member(s), nullptr);
   EXPECT_FALSE(wheel.detach(s));
   EXPECT_TRUE(wheel.attached(s2));
-  EXPECT_EQ(wheel.tag(s2), 6u);
+  EXPECT_EQ(wheel.member(s2), member(6));
 }
 
 TEST(PollWheel, RejectsMoreBucketsThanItsMaskHolds) {
@@ -271,7 +324,7 @@ TEST(PollWheel, EarliestDueMatchesALinearScan) {
       EXPECT_TRUE(wheel.detach(live[i]));
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
     };
-    wheel.set_fanout([&](TimeUs, std::uint64_t, sim::CohortSlot s) {
+    wheel.set_fanout([&](TimeUs, void*, sim::CohortSlot s) {
       check();  // mid fan-out: the firing bucket is due a period later
       if (rng.bernoulli(0.1))
         drop(static_cast<std::size_t>(
@@ -281,8 +334,8 @@ TEST(PollWheel, EarliestDueMatchesALinearScan) {
       const auto op = rng.uniform_int(0, 9);
       if (op < 4 || live.empty()) {
         const TimeUs raw = sim.now() + rng.uniform_int(0, 5 * period);
-        live.push_back(wheel.attach(wheel.quantize(raw),
-                                    static_cast<std::uint64_t>(round)));
+        live.push_back(wheel.attach(
+            wheel.quantize(raw), member(static_cast<std::uint64_t>(round))));
       } else if (op < 6) {
         drop(static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(live.size()) - 1)));
@@ -312,18 +365,20 @@ TEST(PollWheel, MidFanoutMigrationMovesAMemberBetweenWheels) {
   Fired on_a, on_b;
   bool migrated = false;
   sim::CohortSlot slot_b;
-  a.set_fanout([&](TimeUs t, std::uint64_t tag, sim::CohortSlot s) {
+  a.set_fanout([&](TimeUs t, void* m, sim::CohortSlot s) {
+    const std::uint64_t tag = tag_of(m);
     on_a.emplace_back(t, tag);
     if (!migrated) {
       migrated = true;
       EXPECT_TRUE(a.detach(s));
-      slot_b = b.attach(b.quantize(sim.now() + 100), tag);
+      slot_b = b.attach(b.quantize(sim.now() + 100), member(tag));
     }
   });
-  b.set_fanout([&](TimeUs t, std::uint64_t tag, sim::CohortSlot) {
+  b.set_fanout([&](TimeUs t, void* m, sim::CohortSlot) {
+    const std::uint64_t tag = tag_of(m);
     on_b.emplace_back(t, tag);
   });
-  a.attach(a.quantize(0), 42);
+  a.attach(a.quantize(0), member(42));
   sim.run_until(2000);
   const Fired expect_a{{250, 42}};
   const Fired expect_b{{500, 42}, {1500, 42}};
@@ -379,14 +434,16 @@ Fired run_churn_on_wheel(const std::vector<ChurnOp>& ops, TimeUs horizon,
   sim::Simulator sim;
   sim::PollWheel wheel(sim, period, buckets);
   Fired fired;
-  wheel.set_fanout([&](TimeUs t, std::uint64_t tag, sim::CohortSlot) {
+  wheel.set_fanout([&](TimeUs t, void* m, sim::CohortSlot) {
+    const std::uint64_t tag = tag_of(m);
     fired.emplace_back(t, tag);
   });
   std::vector<sim::CohortSlot> slots(256);
   for (const ChurnOp& op : ops) {
     sim.schedule_at(op.at, [&, op] {
       if (op.attach)
-        slots[op.tag] = wheel.attach(wheel.quantize(op.raw_phase), op.tag);
+        slots[op.tag] =
+            wheel.attach(wheel.quantize(op.raw_phase), member(op.tag));
       else
         wheel.detach(slots[op.tag]);
     });
@@ -453,7 +510,7 @@ TEST(PollWheelChurn, HeavyChurnKeepsLedgerConsistent) {
   sim::Simulator sim;
   sim::PollWheel wheel(sim, 1000, 4);
   std::uint64_t ticks = 0;
-  wheel.set_fanout([&](TimeUs, std::uint64_t, sim::CohortSlot) { ++ticks; });
+  wheel.set_fanout([&](TimeUs, void*, sim::CohortSlot) { ++ticks; });
   Rng rng(7);
   std::vector<sim::CohortSlot> live;
   for (int round = 0; round < 200; ++round) {
@@ -461,7 +518,7 @@ TEST(PollWheelChurn, HeavyChurnKeepsLedgerConsistent) {
       live.push_back(
           wheel.attach(wheel.quantize(sim.now() + static_cast<TimeUs>(
                                           rng.uniform() * 1000.0)),
-                       static_cast<std::uint64_t>(round)));
+                       member(static_cast<std::uint64_t>(round))));
     } else {
       const auto pick = static_cast<std::size_t>(
           rng.uniform() * static_cast<double>(live.size()));
