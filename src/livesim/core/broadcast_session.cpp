@@ -284,6 +284,11 @@ bool BroadcastSession::rescue_on_mesh(Viewer& v) {
   return true;
 }
 
+void BroadcastSession::leave_mesh(Viewer& v) {
+  assist_mesh_->leave(v.cold->mesh_peer);
+  v.on_mesh = false;
+}
+
 void BroadcastSession::arm_faults() {
   // Empty schedule: no injector, no RNG draws, no event-queue traffic.
   if (config_.faults.empty()) return;
@@ -517,7 +522,11 @@ void BroadcastSession::rejoin_rtmp_viewer(Viewer& v) {
   // soon as the tier is back to kRtmp.
   ++v.generation;
   teardown_polling(v);
-  detach_from_edge(v);  // the HLS attachment is torn down
+  // A refugee parked on the mesh holds a peer slot, not an edge slot.
+  if (v.on_mesh)
+    leave_mesh(v);
+  else
+    detach_from_edge(v);  // the HLS attachment is torn down
   const cdn::DeliveryTier retired_tier = v.tier;  // the pull phase's ledger
   v.tier = cdn::DeliveryTier::kRtmp;
   v.failover_crash_at = -1;  // any unfinished failover measurement is moot
@@ -724,8 +733,7 @@ void BroadcastSession::remove_viewer(std::size_t index) {
   teardown_polling(v);
   if (v.on_mesh) {
     // Mesh-parked viewers hold a peer slot, not an edge slot.
-    if (assist_mesh_) assist_mesh_->leave(v.cold->mesh_peer);
-    v.on_mesh = false;
+    leave_mesh(v);
     return;
   }
   // Orphans already shed their (dead) attachment during the failed

@@ -532,6 +532,8 @@ class BroadcastSession {
   /// Overlay assist: park a capacity orphan on the P2P mesh. Returns
   /// false when the assist is not armed (the caller orphans as before).
   bool rescue_on_mesh(Viewer& v);
+  /// A parked viewer leaves the mesh (it left, or it rejoined RTMP).
+  void leave_mesh(Viewer& v);
 
   // The per-viewer-timer oracle (tests/session_fingerprint.h): when set
   // before start(), each HLS viewer polls on a wheel of its own, which

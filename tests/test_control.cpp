@@ -509,6 +509,63 @@ TEST(SessionControl, OverlayAssistParksCapacityOrphans) {
   EXPECT_TRUE(cp->overlay_assist_active());
 }
 
+// An RTMP refugee can end up parked on the mesh: it failed over to HLS,
+// then its edge died and every candidate was full. When the ingest
+// restarts it rejoins RTMP and must leave the mesh; otherwise a second
+// crash admits it to an edge that its leave never detaches it from.
+TEST(SessionControl, MeshParkedRefugeeLeavesTheMeshWhenItRejoinsRtmp) {
+  const auto catalog = geo::DatacenterCatalog::paper_footprint();
+  sim::Simulator sim;
+  core::SessionConfig cfg;
+  cfg.broadcast_len = 60 * time::kSecond;
+  cfg.rtmp_viewers = 0;
+  cfg.hls_viewers = 2;  // at the broadcaster: the SF edge
+  cfg.global_viewers = false;
+  cfg.seed = 7;
+  cfg.edge_capacity = 3;
+  cfg.failover_spill_k = 1;  // an SF refugee's one candidate: San Jose
+  cfg.control.enabled = true;
+  cfg.control.overlay_assist = true;
+  cfg.rtmp_rejoin_after_restart = true;
+  // Crash: the RTMP viewer fails over to SF at 12 s, filling it. SF dies
+  // at 13 s, before the outage's fetch failures drain San Jose: SF's two
+  // HLS viewers fill San Jose and the refugee, last in the sweep, is
+  // parked on the mesh. Restart: it rejoins RTMP at 32 s. Second crash:
+  // it fails over to SF again at 42 s. All leave at 50 s, before the
+  // second restart.
+  cfg.faults.add({10 * time::kSecond, fault::FaultKind::kIngestCrash,
+                  20 * time::kSecond});
+  fault::FaultEvent down{13 * time::kSecond, fault::FaultKind::kEdgeDown,
+                         10 * time::kSecond};
+  down.target = dark_site(catalog, cfg.broadcaster_location);
+  cfg.faults.add(down);
+  cfg.faults.add({40 * time::kSecond, fault::FaultKind::kIngestCrash,
+                  20 * time::kSecond});
+  core::BroadcastSession session(sim, catalog, cfg);
+  session.start();
+  session.add_viewer(cfg.broadcaster_location, cdn::DeliveryTier::kRtmp);
+  session.add_viewer({37.34, -121.89}, cdn::DeliveryTier::kHls);  // at SJ
+  std::uint64_t mesh_peers_on_rtmp = 0;
+  sim.schedule_at(35 * time::kSecond, [&] {
+    if (const auto* mesh = session.assist_mesh()) mesh_peers_on_rtmp = mesh->peers();
+  });
+  sim.schedule_at(50 * time::kSecond, [&] {
+    for (std::size_t i = 0; i < session.viewer_count(); ++i)
+      session.remove_viewer(i);
+  });
+  sim.run();
+  session.finalize();
+
+  EXPECT_EQ(session.rtmp_failovers(), 2u);
+  EXPECT_EQ(session.overlay_assists(), 1u);
+  EXPECT_EQ(session.rtmp_rejoins(), 1u);
+  EXPECT_EQ(session.orphaned_viewers(), 0u);
+  EXPECT_EQ(mesh_peers_on_rtmp, 0u);
+  ASSERT_FALSE(session.edges().empty());
+  for (const auto& [site, edge] : session.edges())
+    EXPECT_EQ(edge->attached(), 0u) << "site " << site;
+}
+
 // --- experiment-level contracts ----------------------------------------
 
 std::vector<analysis::BroadcastTrace> small_traces() {
