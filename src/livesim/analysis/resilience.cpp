@@ -420,9 +420,10 @@ CapacitySpillStats run_capacity_spill(
     double nearest_live_km = -1.0;
     const geo::Datacenter* chosen = nullptr;
     double chosen_km = 0.0;
-    for (const geo::Datacenter* dc : catalog.k_nearest(
+    for (const geo::RankedSite& candidate : catalog.k_nearest(
              v.loc, geo::CdnRole::kEdge, config.spill_k, dark)) {
-      const double km = geo::haversine_km(v.loc, dc->location);
+      const geo::Datacenter* dc = candidate.dc;
+      const double km = candidate.km;
       if (nearest_live_km < 0.0) nearest_live_km = km;
       if (config.edge_capacity != 0 &&
           load[dc->id.value] >= config.edge_capacity) {

@@ -247,7 +247,7 @@ void BroadcastSession::on_steer(
   // migration can never land back on it, and the later reactive
   // on_edge_down sweep skips these viewers (their attachment changed).
   if (t.to != control::EdgeHealth::kDead) return;
-  const std::uint64_t dark[] = {t.site};
+  const DatacenterId dark[] = {DatacenterId{t.site}};
   for (auto& vp : viewers_) {
     Viewer& v = *vp;
     if (!v.active || v.tier == cdn::DeliveryTier::kRtmp || v.orphaned ||
@@ -380,15 +380,16 @@ void BroadcastSession::on_edge_down(const fault::FaultEvent& e) {
   // session instantiated (a blanket outage), otherwise one catalog site
   // -- which may have no EdgeServer object yet and still must be dark to
   // re-anycast decisions.
-  std::vector<std::uint64_t> dark;
+  std::vector<DatacenterId> dark;
   if (e.target == 0) {
     dark.reserve(edges_.size());
-    for (auto& [site, edge] : edges_) dark.push_back(site);
+    for (auto& [site, edge] : edges_) dark.emplace_back(site);
   } else {
-    dark.push_back(e.target);
+    dark.emplace_back(e.target);
   }
 
-  for (std::uint64_t site : dark) {
+  for (const DatacenterId dc : dark) {
+    const std::uint64_t site = dc.value;
     auto& horizon = edge_down_until_[site];
     if (until > horizon) horizon = until;
     if (auto it = edges_.find(site); it != edges_.end())
@@ -414,8 +415,8 @@ void BroadcastSession::on_edge_down(const fault::FaultEvent& e) {
       if (!v.active || v.tier == cdn::DeliveryTier::kRtmp || v.orphaned ||
           v.on_mesh)
         continue;
-      const bool hit = std::find(dark.begin(), dark.end(),
-                                 v.attachment.value) != dark.end();
+      const bool hit =
+          std::find(dark.begin(), dark.end(), v.attachment) != dark.end();
       if (hit) migrate_hls_viewer(v, now, dark);
     }
   });
@@ -463,7 +464,7 @@ void BroadcastSession::migrate_rtmp_viewer(Viewer& v, TimeUs crashed_at) {
 }
 
 void BroadcastSession::migrate_hls_viewer(
-    Viewer& v, TimeUs died_at, std::span<const std::uint64_t> exclude) {
+    Viewer& v, TimeUs died_at, std::span<const DatacenterId> exclude) {
   // Edge-to-edge failover: the viewer's PoP died; anycast re-routes them
   // to the nearest live edge with admission headroom, overflowing ring
   // by ring when nearer PoPs are full. The client flushes its pipeline a
@@ -545,19 +546,15 @@ bool BroadcastSession::edge_site_down(std::uint64_t site,
 }
 
 BroadcastSession::EdgeSelection BroadcastSession::nearest_live_edge(
-    const geo::GeoPoint& p, TimeUs now,
-    std::span<const std::uint64_t> exclude, bool respect_capacity,
-    std::span<const std::uint64_t> steer_avoid) const {
-  std::vector<DatacenterId> excl;
-  excl.reserve(exclude.size());
-  for (std::uint64_t site : exclude) excl.push_back(DatacenterId{site});
-
+    const geo::GeoPoint& p, TimeUs now, std::span<const DatacenterId> exclude,
+    bool respect_capacity, std::span<const std::uint64_t> steer_avoid) const {
   EdgeSelection sel;
   double nearest_live_km = -1.0;  // first live candidate (full or not)
   bool skipped_full = false;
   bool skipped_steer = false;
-  for (const geo::Datacenter* dc : catalog_.k_nearest(
-           p, geo::CdnRole::kEdge, config_.failover_spill_k, excl)) {
+  for (const geo::RankedSite& candidate : catalog_.k_nearest(
+           p, geo::CdnRole::kEdge, config_.failover_spill_k, exclude)) {
+    const geo::Datacenter* dc = candidate.dc;
     if (edge_site_down(dc->id.value, now)) continue;
     // Service-wide verdict union (sorted): a site some session's control
     // plane published as draining/dead is skipped here exactly like this
@@ -575,7 +572,7 @@ BroadcastSession::EdgeSelection BroadcastSession::nearest_live_edge(
     // site is draining or dead, so routing steers around it — new joins
     // and failover re-anycast alike — before client timeouts would.
     if (control_ && control_->avoid(dc->id.value)) continue;
-    const double km = geo::haversine_km(p, dc->location);
+    const double km = candidate.km;
     if (nearest_live_km < 0.0) nearest_live_km = km;
     if (respect_capacity) {
       // Only instantiated edges carry load; an untouched catalog site

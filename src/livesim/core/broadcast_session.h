@@ -498,7 +498,7 @@ class BroadcastSession {
   void on_edge_down(const fault::FaultEvent& e);
   void migrate_rtmp_viewer(Viewer& v, TimeUs crashed_at);
   void migrate_hls_viewer(Viewer& v, TimeUs died_at,
-                          std::span<const std::uint64_t> exclude);
+                          std::span<const DatacenterId> exclude);
   void rejoin_rtmp_viewer(Viewer& v);
   void admit_to_edge(Viewer& v, const EdgeSelection& sel);
   void detach_from_edge(Viewer& v);
@@ -518,7 +518,7 @@ class BroadcastSession {
   /// EdgeSelection::steered.
   EdgeSelection nearest_live_edge(
       const geo::GeoPoint& p, TimeUs now,
-      std::span<const std::uint64_t> exclude = {},
+      std::span<const DatacenterId> exclude = {},
       bool respect_capacity = true,
       std::span<const std::uint64_t> steer_avoid = {}) const;
   bool edge_site_down(std::uint64_t site, TimeUs now) const noexcept;

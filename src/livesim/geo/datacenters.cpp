@@ -143,62 +143,60 @@ const Datacenter& DatacenterCatalog::nearest(DatacenterId from,
   return *best;
 }
 
-std::vector<const Datacenter*> DatacenterCatalog::k_nearest(
-    const GeoPoint& p, CdnRole role, std::size_t k,
-    std::span<const DatacenterId> exclude) const {
-  std::vector<std::pair<double, const Datacenter*>> ranked;
-  ranked.reserve(dcs_.size());
+void SiteRanking::push(RankedSite site) {
+  if (spilled_.empty() && size_ < kInlineSites) {
+    inline_[size_++] = site;
+    return;
+  }
+  if (spilled_.empty()) spilled_.assign(inline_.begin(), inline_.end());
+  spilled_.push_back(site);
+  ++size_;
+}
+
+void SiteRanking::rank(std::size_t k) {
+  const std::span<RankedSite> sites =
+      spilled_.empty() ? std::span<RankedSite>(inline_).first(size_)
+                       : std::span<RankedSite>(spilled_);
+  std::sort(sites.begin(), sites.end(),
+            [](const RankedSite& a, const RankedSite& b) {
+              if (a.km != b.km) return a.km < b.km;
+              return a.dc->id.value < b.dc->id.value;
+            });
+  if (k != 0 && size_ > k) {
+    size_ = k;
+    if (!spilled_.empty()) spilled_.resize(k);
+  }
+}
+
+template <class Distance>
+SiteRanking DatacenterCatalog::rank(CdnRole role, std::size_t k,
+                                    std::span<const DatacenterId> exclude,
+                                    Distance distance) const {
+  SiteRanking out;
   for (const auto& dc : dcs_) {
     if (dc.role != role) continue;
-    bool skip = false;
-    for (DatacenterId ex : exclude)
-      if (ex.value == dc.id.value) {
-        skip = true;
-        break;
-      }
-    if (skip) continue;
-    ranked.emplace_back(haversine_km(p, dc.location), &dc);
+    if (std::find(exclude.begin(), exclude.end(), dc.id) != exclude.end())
+      continue;
+    out.push({&dc, distance(dc)});
   }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second->id.value < b.second->id.value;
-            });
-  if (k != 0 && ranked.size() > k) ranked.resize(k);
-  std::vector<const Datacenter*> out;
-  out.reserve(ranked.size());
-  for (const auto& [km, dc] : ranked) out.push_back(dc);
+  out.rank(k);
   return out;
 }
 
-std::vector<const Datacenter*> DatacenterCatalog::k_nearest(
+SiteRanking DatacenterCatalog::k_nearest(
+    const GeoPoint& p, CdnRole role, std::size_t k,
+    std::span<const DatacenterId> exclude) const {
+  return rank(role, k, exclude, [&p](const Datacenter& dc) {
+    return haversine_km(p, dc.location);
+  });
+}
+
+SiteRanking DatacenterCatalog::k_nearest(
     DatacenterId from, CdnRole role, std::size_t k,
     std::span<const DatacenterId> exclude) const {
-  const Datacenter& origin = get(from);
-  const double* row = distance_row(origin.id);
-  std::vector<std::pair<double, const Datacenter*>> ranked;
-  ranked.reserve(dcs_.size());
-  for (const auto& dc : dcs_) {
-    if (dc.role != role) continue;
-    bool skip = false;
-    for (DatacenterId ex : exclude)
-      if (ex.value == dc.id.value) {
-        skip = true;
-        break;
-      }
-    if (skip) continue;
-    ranked.emplace_back(row[dc.id.value], &dc);
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second->id.value < b.second->id.value;
-            });
-  if (k != 0 && ranked.size() > k) ranked.resize(k);
-  std::vector<const Datacenter*> out;
-  out.reserve(ranked.size());
-  for (const auto& [km, dc] : ranked) out.push_back(dc);
-  return out;
+  const double* row = distance_row(get(from).id);
+  return rank(role, k, exclude,
+              [row](const Datacenter& dc) { return row[dc.id.value]; });
 }
 
 const Datacenter* DatacenterCatalog::colocated_edge(DatacenterId ingest) const {

@@ -7,6 +7,8 @@
 #ifndef LIVESIM_GEO_DATACENTERS_H
 #define LIVESIM_GEO_DATACENTERS_H
 
+#include <array>
+#include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,6 +34,43 @@ struct Datacenter {
   Continent continent;
   GeoPoint location;
   CdnRole role;
+};
+
+/// One ranked site and its distance from the query: the very double
+/// haversine_km (or the catalog's distance cache) gives for the pair.
+struct RankedSite {
+  const Datacenter* dc = nullptr;
+  double km = 0.0;
+};
+
+/// Sites of one role in (distance, id) order: what k_nearest returns.
+/// Held inline while the role has at most kInlineSites sites (the paper
+/// footprint has 23 edges and 8 ingests), so a ranking allocates nothing;
+/// a larger custom catalog spills to the heap.
+class SiteRanking {
+ public:
+  static constexpr std::size_t kInlineSites = 32;
+
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+  const RankedSite& operator[](std::size_t i) const { return view()[i]; }
+  auto begin() const noexcept { return view().begin(); }
+  auto end() const noexcept { return view().end(); }
+
+ private:
+  friend class DatacenterCatalog;
+
+  std::span<const RankedSite> view() const noexcept {
+    if (!spilled_.empty()) return spilled_;
+    return std::span<const RankedSite>(inline_).first(size_);
+  }
+  void push(RankedSite site);
+  /// Sorts by (distance, id) and keeps the first k (0: all).
+  void rank(std::size_t k);
+
+  std::array<RankedSite, kInlineSites> inline_{};
+  std::vector<RankedSite> spilled_;  // all sites, once past kInlineSites
+  std::size_t size_ = 0;
 };
 
 /// The full catalog: ids are stable across runs (index order below).
@@ -73,15 +112,14 @@ class DatacenterCatalog {
   /// explicit tie-break above, so the ordering is total and deterministic.
   /// k == 0 means "all sites of the role". Sites whose id appears in
   /// `exclude` are skipped before ranking (a failover must never
-  /// re-consider the PoP that just failed it).
-  std::vector<const Datacenter*> k_nearest(
-      const GeoPoint& p, CdnRole role, std::size_t k,
-      std::span<const DatacenterId> exclude = {}) const;
+  /// re-consider the PoP that just failed it). Allocation-free on the
+  /// paper footprint, and safe to call from several threads at once.
+  SiteRanking k_nearest(const GeoPoint& p, CdnRole role, std::size_t k,
+                        std::span<const DatacenterId> exclude = {}) const;
 
   /// Site-keyed variant of k_nearest, served from the distance cache.
-  std::vector<const Datacenter*> k_nearest(
-      DatacenterId from, CdnRole role, std::size_t k,
-      std::span<const DatacenterId> exclude = {}) const;
+  SiteRanking k_nearest(DatacenterId from, CdnRole role, std::size_t k,
+                        std::span<const DatacenterId> exclude = {}) const;
 
   /// Edge site co-located (same city) with the given ingest site, if any.
   /// Returns nullptr for the South-America exception.
@@ -97,6 +135,11 @@ class DatacenterCatalog {
   void add(std::string city, Continent cont, double lat, double lon,
            CdnRole role);
   void rebuild_distance_cache();
+  /// k_nearest's one implementation: `distance(dc)` is the km to rank by.
+  template <class Distance>
+  SiteRanking rank(CdnRole role, std::size_t k,
+                   std::span<const DatacenterId> exclude,
+                   Distance distance) const;
   const double* distance_row(DatacenterId from) const {
     return dist_.data() + from.value * dcs_.size();
   }

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "livesim/analysis/experiments.h"
@@ -239,6 +240,28 @@ TEST(SessionAllocations, WarmRtmpPushesAllocateNothingPerViewer) {
 
 TEST(SessionAllocations, WarmThreeTierSessionAllocatesNothingPerViewer) {
   expect_no_per_viewer_allocations(10, 10, 10);
+}
+
+// Every pull join and edge failover ranks the candidate edges; on the
+// paper footprint a ranking holds its sites inline.
+TEST(CatalogAllocations, CandidateRankingsOnThePaperFootprintAllocateNothing) {
+  const auto catalog = geo::DatacenterCatalog::paper_footprint();
+  const auto edges = catalog.edge_sites();
+  Rng rng(5);
+  std::uint64_t ranked = 0;
+  const std::uint64_t before = allocation_count();
+  for (int i = 0; i < 1000; ++i) {
+    const geo::GeoPoint p{rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0)};
+    const std::size_t k = static_cast<std::size_t>(i % 4);  // 0: all
+    const DatacenterId exclude[] = {
+        edges[static_cast<std::size_t>(rng.uniform_int(0, 22))]->id};
+    const auto by_point = catalog.k_nearest(p, geo::CdnRole::kEdge, k,
+                                            std::span(exclude).first(i % 2));
+    const auto by_site = catalog.k_nearest(exclude[0], geo::CdnRole::kIngest, k);
+    ranked += by_point.size() + by_site.size();
+  }
+  EXPECT_EQ(allocation_count() - before, 0u);
+  EXPECT_GT(ranked, 1000u);
 }
 
 TEST(TraceAllocations, GenerateTracesAllocatesPerBroadcastNotPerFrame) {

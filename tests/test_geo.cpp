@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "livesim/geo/datacenters.h"
 #include "livesim/geo/geo.h"
 
@@ -142,9 +147,9 @@ TEST(Catalog, KNearestRanksByDistanceThenId) {
   // added later; the ingest site never appears for the edge role.
   const auto all = c.k_nearest(viewer, CdnRole::kEdge, 0);
   ASSERT_EQ(all.size(), 3u);
-  EXPECT_EQ(all[0]->id.value, twin_b.value);  // twin_b has the smaller id
-  EXPECT_EQ(all[1]->id.value, twin_a.value);
-  EXPECT_EQ(all[2]->id.value, far.value);
+  EXPECT_EQ(all[0].dc->id.value, twin_b.value);  // twin_b has the smaller id
+  EXPECT_EQ(all[1].dc->id.value, twin_a.value);
+  EXPECT_EQ(all[2].dc->id.value, far.value);
 
   // k truncates after ranking; k > size is the whole ranking.
   EXPECT_EQ(c.k_nearest(viewer, CdnRole::kEdge, 1).size(), 1u);
@@ -155,8 +160,8 @@ TEST(Catalog, KNearestRanksByDistanceThenId) {
   const DatacenterId excl[] = {twin_b};
   const auto rest = c.k_nearest(viewer, CdnRole::kEdge, 2, excl);
   ASSERT_EQ(rest.size(), 2u);
-  EXPECT_EQ(rest[0]->id.value, twin_a.value);
-  EXPECT_EQ(rest[1]->id.value, far.value);
+  EXPECT_EQ(rest[0].dc->id.value, twin_a.value);
+  EXPECT_EQ(rest[1].dc->id.value, far.value);
 }
 
 TEST(Catalog, KNearestMatchesNearestOnTheFootprint) {
@@ -167,7 +172,60 @@ TEST(Catalog, KNearestMatchesNearestOnTheFootprint) {
     for (CdnRole role : {CdnRole::kEdge, CdnRole::kIngest}) {
       const auto ranked = c.k_nearest(p, role, 3);
       ASSERT_FALSE(ranked.empty());
-      EXPECT_EQ(ranked[0]->id.value, c.nearest(p, role).id.value);
+      EXPECT_EQ(ranked[0].dc->id.value, c.nearest(p, role).id.value);
+    }
+  }
+}
+
+// k_nearest ranks sites inline, spilling to the heap past
+// SiteRanking::kInlineSites; both must give a full sort's order. The
+// reference sorts every site of the role by (haversine, id), drops the
+// excluded ones and keeps the first k. Inputs: random points, k in
+// {0, 1, 3, all}, random exclusions, on the paper footprint and on a
+// 40-edge add_site catalog whose sites come in co-located pairs (exact
+// distance ties).
+TEST(Catalog, KNearestMatchesAFullSort) {
+  DatacenterCatalog twins;
+  Rng place(11);
+  for (int i = 0; i < 20; ++i) {
+    const double lat = place.uniform(-50.0, 60.0);
+    const double lon = place.uniform(-170.0, 170.0);
+    twins.add_site("Twin", Continent::kEurope, lat, lon, CdnRole::kEdge);
+    twins.add_site("Ingest", Continent::kEurope, lat, lon, CdnRole::kIngest);
+    twins.add_site("Twin", Continent::kEurope, lat, lon, CdnRole::kEdge);
+  }
+  const DatacenterCatalog footprint = DatacenterCatalog::paper_footprint();
+  Rng rng(29);
+  const DatacenterCatalog* catalogs[] = {&footprint, &twins};
+  for (const DatacenterCatalog* c : catalogs) {
+    const auto edges = c->edge_sites();
+    for (int round = 0; round < 400; ++round) {
+      GeoPoint p{rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0)};
+      if (round % 5 == 0) {  // on top of a site: ties at 0 km
+        p = edges[static_cast<std::size_t>(rng.uniform_int(
+                      0, static_cast<std::int64_t>(edges.size()) - 1))]
+                ->location;
+      }
+      std::vector<DatacenterId> exclude;
+      for (const Datacenter* dc : edges)
+        if (rng.bernoulli(0.2)) exclude.push_back(dc->id);
+
+      std::vector<std::pair<double, std::uint64_t>> want;
+      for (const Datacenter* dc : edges)
+        if (std::find(exclude.begin(), exclude.end(), dc->id) == exclude.end())
+          want.emplace_back(haversine_km(p, dc->location), dc->id.value);
+      std::sort(want.begin(), want.end());
+
+      for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                            edges.size()}) {
+        const auto got = c->k_nearest(p, CdnRole::kEdge, k, exclude);
+        const std::size_t n = k == 0 ? want.size() : std::min(k, want.size());
+        ASSERT_EQ(got.size(), n) << "round " << round << ", k " << k;
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(got[i].dc->id.value, want[i].second) << "rank " << i;
+          EXPECT_EQ(got[i].km, want[i].first) << "rank " << i;
+        }
+      }
     }
   }
 }
@@ -229,7 +287,7 @@ TEST(Catalog, SiteKeyedKNearestMatchesPointKeyed) {
     const auto by_pt = c.k_nearest(dc.location, CdnRole::kEdge, 5, exclude);
     ASSERT_EQ(by_id.size(), by_pt.size()) << dc.city;
     for (std::size_t i = 0; i < by_id.size(); ++i)
-      EXPECT_EQ(by_id[i]->id.value, by_pt[i]->id.value) << dc.city;
+      EXPECT_EQ(by_id[i].dc->id.value, by_pt[i].dc->id.value) << dc.city;
   }
 }
 
