@@ -192,7 +192,8 @@ std::uint64_t run_flash_crowd_mix(std::size_t n, util::Fingerprint& fp,
     wheel.set_fanout(
         [&](TimeUs tick, void* member, sim::CohortSlot) {
           auto* flag = static_cast<std::uint8_t*>(member);
-          const auto tag = static_cast<std::uint64_t>(flag - outstanding.data());
+          const auto tag =
+              static_cast<std::uint64_t>(flag - outstanding.data());
           wheel_order.mix(tag ^ static_cast<std::uint64_t>(tick));
           *flag ^= 1;  // the per-viewer SoA ledger touch
           ++wheel_polls;

@@ -330,6 +330,9 @@ class BroadcastSession {
   /// request and response legs and the playback schedule they feed. It
   /// leads Viewer (its base, at offset 0), so the wheel's prefetch of a
   /// member's first sim::PollWheel::kPrefetchBytes covers all of it.
+  /// Layout rule: a field a poll touches goes here; one only placement,
+  /// migration or teardown touches goes in Viewer; one only a pipeline
+  /// flush or a mesh rescue creates goes in Viewer::ColdState.
   struct HotState {
     explicit HotState(DurationUs prebuffer) : playback(prebuffer) {}
 

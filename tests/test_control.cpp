@@ -547,7 +547,8 @@ TEST(SessionControl, MeshParkedRefugeeLeavesTheMeshWhenItRejoinsRtmp) {
   session.add_viewer({37.34, -121.89}, cdn::DeliveryTier::kHls);  // at SJ
   std::uint64_t mesh_peers_on_rtmp = 0;
   sim.schedule_at(35 * time::kSecond, [&] {
-    if (const auto* mesh = session.assist_mesh()) mesh_peers_on_rtmp = mesh->peers();
+    if (const auto* mesh = session.assist_mesh())
+      mesh_peers_on_rtmp = mesh->peers();
   });
   sim.schedule_at(50 * time::kSecond, [&] {
     for (std::size_t i = 0; i < session.viewer_count(); ++i)

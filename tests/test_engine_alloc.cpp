@@ -257,7 +257,8 @@ TEST(CatalogAllocations, CandidateRankingsOnThePaperFootprintAllocateNothing) {
         edges[static_cast<std::size_t>(rng.uniform_int(0, 22))]->id};
     const auto by_point = catalog.k_nearest(p, geo::CdnRole::kEdge, k,
                                             std::span(exclude).first(i % 2));
-    const auto by_site = catalog.k_nearest(exclude[0], geo::CdnRole::kIngest, k);
+    const auto by_site =
+        catalog.k_nearest(exclude[0], geo::CdnRole::kIngest, k);
     ranked += by_point.size() + by_site.size();
   }
   EXPECT_EQ(allocation_count() - before, 0u);
